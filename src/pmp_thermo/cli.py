@@ -13,9 +13,9 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,25 +34,21 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write via a temporary file and rename, with the mode a plain open() would give."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pmp-thermo-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates 0600; the umask can only be read by setting it
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("PMP_THERMO_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else max(1, os.cpu_count() or 1)
 
 
 def _engine_json(sol: two_level.EngineSolution) -> str:
@@ -95,17 +91,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         print("error: steps must be >= 2", file=sys.stderr)
         return EXIT_USAGE
-    zs = np.linspace(args.z_min, args.z_max, args.steps)
-
-    def solve(z: float):
-        try:
-            return two_level.solve_engine(float(z), beta_c=args.beta_c, gamma=args.gamma)
-        except SolverError as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(solve, zs))
-
     buf = io.StringIO()
     buf.write(
         f"# units: g dimensionless (K_star = -g * gamma/beta_c), efficiencies dimensionless; "
@@ -113,10 +98,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     buf.write("z,g,eta_star,eta_ca,eta_carnot\n")
     failed = []
-    for z, res in zip(zs, results):
-        if isinstance(res, SolverError):
+    for z in np.linspace(args.z_min, args.z_max, args.steps):
+        try:
+            res = two_level.solve_engine(float(z), beta_c=args.beta_c, gamma=args.gamma)
+        except SolverError as exc:
             failed.append(float(z))
-            buf.write(f"# FAILED z={_fmt(float(z))}: {res}\n")
+            buf.write(f"# FAILED z={_fmt(float(z))}: {exc}\n")
             continue
         buf.write(
             ",".join(
@@ -401,6 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_oracle, needs=("z", "K", "p_in", "u_in", "p_out", "u_out"))
 
+    # argparse's default matcher misses exponent notation, so `--K -1e-5` would read as a flag
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(r"^-\d*\.?\d+(?:[eE][-+]?\d+)?$")
     return parser
 
 

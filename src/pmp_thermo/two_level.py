@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 __all__ = [
     "Baths",
@@ -228,19 +227,29 @@ def _mu_pair(K: float, baths: Baths) -> tuple[float, float]:
     )
 
 
-def _adiabatic_f_array(p: np.ndarray, K: float, baths: Baths) -> np.ndarray:
-    """Vectorized switch condition over an array of populations."""
-    mu_c_val, mu_h_val = _mu_pair(K, baths)
-    four_pq = 4.0 * p * (1.0 - p)
-    delta_c = np.sqrt(mu_c_val * mu_c_val + four_pq)
-    delta_h = np.sqrt(mu_h_val * mu_h_val + four_pq)
-    x_c = (delta_c - mu_c_val) / (2.0 * p)
-    x_h = 2.0 * (1.0 - p) / (delta_h + mu_h_val)
+def _x_pair(p: float, q: float, mu_c_val: float, mu_h_val: float) -> tuple[float, float]:
+    """Arc controls x_c(p) and x_h(p), given p and q = 1 - p.
+
+    Both forms avoid cancellation: mu_c <= 0 on the cold branch, and the hot
+    factor is written as 2q / (delta_h + mu_h) instead of (delta_h - mu_h) / 2p.
+    """
+    four_pq = 4.0 * p * q
+    x_c = (math.sqrt(mu_c_val * mu_c_val + four_pq) - mu_c_val) / (2.0 * p)
+    x_h = 2.0 * q / (math.sqrt(mu_h_val * mu_h_val + four_pq) + mu_h_val)
+    return x_c, x_h
+
+
+def _f_of_x(x_c: float, x_h: float, baths: Baths) -> float:
     r = x_c / x_h
     root_bb = math.sqrt(baths.beta_c * baths.beta_h)
     return r - 1.0 / r + 2.0 * root_bb * (
-        np.log(x_c) / baths.beta_c - np.log(x_h) / baths.beta_h
+        math.log(x_c) / baths.beta_c - math.log(x_h) / baths.beta_h
     )
+
+
+def _tangency_terms(x_c: float, x_h: float, mu_c_val: float, mu_h_val: float) -> tuple[float, float]:
+    """The two sides (1 + x^2) / (mu x) of the merging condition, one per branch."""
+    return (x_c + 1.0 / x_c) / mu_c_val, (x_h + 1.0 / x_h) / mu_h_val
 
 
 def adiabatic_f(p: float, K: float, baths: Baths) -> float:
@@ -253,74 +262,80 @@ def adiabatic_f(p: float, K: float, baths: Baths) -> float:
         raise ValueError(f"population must lie in (0, 1), got {p}")
     if K >= 0.0:
         raise ValueError(f"branch switches require K < 0, got {K}")
+    return _f_of_x(*_x_pair(p, 1.0 - p, *_mu_pair(K, baths)), baths)
+
+
+# Searches run in s = log p over [log 1e-250, log(1 - 1e-15)]: the lower switch
+# population shrinks like |K| toward the quasi-static limit, so no fixed floor
+# on p would do.
+_S_LO = math.log(1e-250)
+_S_HI = math.log1p(-1e-15)
+
+
+def _log_p_kernels(K: float, baths: Baths):
+    """f and the tangency function h as functions of s = log p at fixed K.
+
+    h has the sign of df/dp and changes sign once, at the minimum of f.  It
+    is returned times p(1 - p), which tends to -1 and +1 at the two ends and
+    so keeps brentq's interpolation steps useful there.
+    """
     mu_c_val, mu_h_val = _mu_pair(K, baths)
-    four_pq = 4.0 * p * (1.0 - p)
-    delta_c = math.sqrt(mu_c_val * mu_c_val + four_pq)
-    delta_h = math.sqrt(mu_h_val * mu_h_val + four_pq)
-    x_c = (delta_c - mu_c_val) / (2.0 * p)
-    x_h = 2.0 * (1.0 - p) / (delta_h + mu_h_val)
-    r = x_c / x_h
-    root_bb = math.sqrt(baths.beta_c * baths.beta_h)
-    return r - 1.0 / r + 2.0 * root_bb * (
-        math.log(x_c) / baths.beta_c - math.log(x_h) / baths.beta_h
-    )
 
+    def f(s: float) -> float:
+        return _f_of_x(*_x_pair(math.exp(s), -math.expm1(s), mu_c_val, mu_h_val), baths)
 
-_P_LO = 1e-6
-_P_HI = 1.0 - 1e-6
-_SCAN_NODES = 1000
+    def h(s: float) -> float:
+        p, q = math.exp(s), -math.expm1(s)
+        a_c, a_h = _tangency_terms(*_x_pair(p, q, mu_c_val, mu_h_val), mu_c_val, mu_h_val)
+        return p * q * (a_c + a_h)
+
+    return f, h
 
 
 def adiabatic_f_min(K: float, baths: Baths, xatol: float = 1e-13) -> tuple[float, float]:
-    """Minimum of f(., K) over p and its location: coarse scan plus bounded refine."""
-    grid = np.linspace(_P_LO, _P_HI, _SCAN_NODES + 1)
-    vals = _adiabatic_f_array(grid, K, baths)
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, _SCAN_NODES)]
-    res = minimize_scalar(
-        lambda p: adiabatic_f(p, K, baths), bounds=(a, b), method="bounded",
-        options={"xatol": xatol},
-    )
-    if res.fun < vals[i]:
-        return float(res.fun), float(res.x)
-    return float(vals[i]), float(grid[i])
+    """Minimum of f(., K) over p and its location.
+
+    The minimum is the one sign change of the tangency function in s = log p,
+    found by brentq to `xatol` in s (a relative tolerance on p).  h > 0 at
+    p = 1 - 1e-15 for every K < 0; a minimum below p = 1e-250, which occurs
+    only for |K| near 1e-250 and below, is reported at 1e-250.
+    """
+    if K >= 0.0:
+        raise ValueError(f"branch switches require K < 0, got {K}")
+    f, h = _log_p_kernels(K, baths)
+    s = _S_LO if h(_S_LO) >= 0.0 else brentq(h, _S_LO, _S_HI, xtol=xatol)
+    return f(s), math.exp(s)
 
 
 # |f at its minimum| below this counts as tangency (coincident switch points)
 _TANGENT_FTOL = 1e-9
 
 
-def find_jump_points(K: float, baths: Baths, xtol: float = 1e-13) -> tuple[float, float]:
+def find_jump_points(K: float, baths: Baths, xtol: float = 1e-15) -> tuple[float, float]:
     """The two populations where a branch switch preserves state and costate.
 
-    Returns (p_ad1, p_ad2) with p_ad1 <= p_ad2.  Raises NoJumpPoints when the
-    switch condition has no zero (K below the root-merging threshold).  At
-    the threshold itself both values coincide.
+    Returns (p_ad1, p_ad2) with p_ad1 <= p_ad2, each located to `xtol` in
+    log p.  Raises NoJumpPoints when the switch condition has no zero (K
+    below the root-merging threshold).  At the threshold itself both values
+    coincide.
     """
     fmin, pm = adiabatic_f_min(K, baths)
     if fmin > _TANGENT_FTOL:
         raise NoJumpPoints(f"f stays positive (min {fmin:.3e} at p={pm:.6f}) for K={K}")
     if abs(fmin) <= _TANGENT_FTOL:
         return pm, pm
-    func = lambda p: adiabatic_f(p, K, baths)
-    lo = _expand_bracket(func, pm, _P_LO)
-    hi = _expand_bracket(func, pm, _P_HI)
-    p1 = float(brentq(func, lo, pm, xtol=xtol))
-    p2 = float(brentq(func, pm, hi, xtol=xtol))
+    f, _ = _log_p_kernels(K, baths)
+    if f(_S_LO) <= 0.0:
+        raise ValueError(f"K={K} is too close to 0: the lower switch population lies below 1e-250")
+    sm = math.log(pm)
+    p1 = math.exp(brentq(f, _S_LO, sm, xtol=xtol))
+    p2 = math.exp(brentq(f, sm, _S_HI, xtol=xtol))
     return p1, p2
 
 
-def _expand_bracket(func, pm: float, limit: float) -> float:
-    """Walk from the (negative) minimum toward `limit` until func turns positive."""
-    t = 0.5
-    while True:
-        p = pm + t * (limit - pm)
-        if func(p) > 0.0:
-            return p
-        t = 1.0 - (1.0 - t) * 0.5
-        if 1.0 - t < 1e-12:
-            return limit
+def _tangency_pair(p: float, K: float, baths: Baths) -> tuple[float, float]:
+    mu_c_val, mu_h_val = _mu_pair(K, baths)
+    return _tangency_terms(*_x_pair(p, 1.0 - p, mu_c_val, mu_h_val), mu_c_val, mu_h_val)
 
 
 def tangency_residual(p: float, K: float, baths: Baths) -> float:
@@ -330,19 +345,15 @@ def tangency_residual(p: float, K: float, baths: Baths) -> float:
     -(1+x_h^2)/(mu_h x_h) agree; returns their imbalance scaled by the
     magnitudes so the value is comparable across temperature ratios.
     """
-    mu_c_val, mu_h_val = _mu_pair(K, baths)
-    x_c = isotherm_x_of_p(p, mu_c_val)
-    x_h = isotherm_x_of_p(p, mu_h_val)
-    a_c = (1.0 + x_c * x_c) / (mu_c_val * x_c)
-    a_h = (1.0 + x_h * x_h) / (mu_h_val * x_h)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"population must lie in (0, 1), got {p}")
+    a_c, a_h = _tangency_pair(p, K, baths)
     return abs(a_c + a_h) / max(abs(a_c), abs(a_h), 1.0)
 
 
 def _tangency_h(p: float, K: float, baths: Baths) -> float:
-    mu_c_val, mu_h_val = _mu_pair(K, baths)
-    x_c = isotherm_x_of_p(p, mu_c_val)
-    x_h = isotherm_x_of_p(p, mu_h_val)
-    return (1.0 + x_c * x_c) / (mu_c_val * x_c) + (1.0 + x_h * x_h) / (mu_h_val * x_h)
+    a_c, a_h = _tangency_pair(p, K, baths)
+    return a_c + a_h
 
 
 @dataclass(frozen=True)
@@ -378,32 +389,27 @@ class EngineSolution:
 def solve_engine(z: float, beta_c: float = 1.0, gamma: float = 1.0) -> EngineSolution:
     """Solve for the lowest admissible emission rate K* and its working point.
 
-    Outer bisection on K locates the bifurcation where the two switch
-    populations merge (f's minimum crosses zero); a damped Newton iteration
-    on (f, tangency) then polishes the pair.  Direct 2-D Newton from scratch
-    is ill-conditioned exactly at the tangency, hence the two-stage scheme.
+    f and the tangency depend on K only through beta_c*K/gamma, so the solve
+    runs at unit scale and K* is scaled back at the end.  The merge point is
+    where the minimum of f(., K) over p crosses zero; that minimum rises
+    through zero as K falls, so one brentq in K finds it, each evaluation a
+    brentq in log p (adiabatic_f_min).  A damped Newton iteration on
+    (f, tangency) then polishes the pair.  Direct 2-D Newton from scratch is
+    ill-conditioned exactly at the tangency.
     """
     if not 0.0 < z < 1.0:
         raise ValueError(f"temperature ratio must lie in (0, 1), got {z}")
-    baths = Baths.from_ratio(z, beta_c=beta_c, gamma=gamma)
-    unit = gamma / beta_c
+    scaled = Baths.from_ratio(z, beta_c=beta_c, gamma=gamma)
+    baths = Baths.from_ratio(z)
 
     theta = lambert_w0(math.exp(-1.0)) / 4.0
-    # K* satisfies -K* <= (theta/z)*unit, so 3x that brackets from below
-    lo = -3.0 * (theta / z) * unit
-    hi = -1e-12 * unit
+    # K* satisfies -K* <= theta/z, so 3x that brackets from below
+    lo = -3.0 * theta / z
+    hi = -1e-12
     if adiabatic_f_min(lo, baths)[0] < 0.0:  # pragma: no cover - safety net
         raise SolverError(f"failed to bracket the root-merging K for z={z}")
-    pm = adiabatic_f_min(hi, baths)[1]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fmin_mid, pmid = adiabatic_f_min(mid, baths)
-        if fmin_mid < 0.0:
-            hi = mid
-            pm = pmid
-        else:
-            lo = mid
-    K, p = 0.5 * (lo + hi), pm
+    K = brentq(lambda k: adiabatic_f_min(k, baths)[0], lo, hi, xtol=1e-30, rtol=1e-15)
+    p = adiabatic_f_min(K, baths, xatol=1e-15)[1]
 
     # damped Newton on (f, h) with numeric Jacobian
     for _ in range(60):
@@ -443,18 +449,18 @@ def solve_engine(z: float, beta_c: float = 1.0, gamma: float = 1.0) -> EngineSol
         )
 
     mu_c_val, mu_h_val = _mu_pair(K, baths)
-    u_c = isotherm_u_of_p(p, mu_c_val, baths.beta_c)
-    u_h = isotherm_u_of_p(p, mu_h_val, baths.beta_h)
+    u_c = isotherm_u_of_p(p, mu_c_val, scaled.beta_c)
+    u_h = isotherm_u_of_p(p, mu_h_val, scaled.beta_h)
     return EngineSolution(
         z=z,
-        K_star=K,
+        K_star=K * (gamma / beta_c),
         p_star=p,
         u_c_star=u_c,
         u_h_star=u_h,
         eta_star=1.0 - u_c / u_h,
         eta_carnot=1.0 - z,
         eta_curzon_ahlborn=1.0 - math.sqrt(z),
-        g=-K / unit,
+        g=-K,
         theta=theta,
     )
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -45,6 +47,17 @@ class TestEngineCommand:
         us = sorted({float(r[1]) for r in rows})
         assert us == [pytest.approx(data["u_c_star"]), pytest.approx(data["u_h_star"])]
         assert float(rows[-1][0]) == pytest.approx(4 * 0.25, abs=1e-12)
+
+    def test_out_file_honours_umask(self, capsys, tmp_path):
+        out = tmp_path / "e.json"
+        previous = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(capsys, "engine", "--z", "0.3", "--out", str(out))
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".pmp-thermo-")]
 
     def test_bad_ratio_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "engine", "--z", "1.5")
@@ -145,6 +158,20 @@ class TestTrajectoryCommand:
         assert code == 3
         assert "unreachable" in err.lower()
 
+    def test_quasi_static_rate_plans(self, capsys, tmp_path):
+        # the lower switch population at K = -1e-5 lies near 5e-7; K is given
+        # in exponent notation, which the parser must read as a value
+        prefix = tmp_path / "slow"
+        code, out, err = run_cli(
+            capsys, "trajectory", "--z", "0.3", "--K", "-1e-5",
+            "--p-in", "0.07", "--u-in", "1", "--p-out", "0.26", "--u-out", "6",
+            "--out-prefix", str(prefix), "--samples", "16",
+        )
+        assert code == 0, err
+        data = json.loads((tmp_path / "slow.json").read_text())
+        assert data["K"] == -1e-5
+        assert out.startswith("plan: ")
+
     def test_deadline_mode(self, capsys, tmp_path):
         prefix = tmp_path / "dl"
         code, out, _ = run_cli(
@@ -212,8 +239,7 @@ class TestDeterminismAndConfig:
         assert code == 0
         assert json.loads(out2.read_text())["z"] == 0.3
 
-    def test_thread_cap_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("PMP_THERMO_THREADS", "1")
+    def test_sweep_row_count(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
         code, _, _ = run_cli(capsys, "sweep", "--z-min", "0.3", "--z-max", "0.6", "--steps", "3", "--out", str(out))
         assert code == 0

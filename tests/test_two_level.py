@@ -31,6 +31,7 @@ from pmp_thermo.two_level import (
     segment_from_populations,
     solve_engine,
 )
+from pmp_thermo.two_level import _tangency_h
 
 K_REF = -0.05
 
@@ -271,6 +272,43 @@ class TestSwitchCondition:
         c1, c2 = find_jump_points(sol.K_star, baths03)
         assert abs(c1 - c2) < 1e-8
         assert c1 == pytest.approx(sol.p_star, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "K, z, p1_ref, p2_ref",
+        [(-1e-5, 0.3, 4.99489e-7, 0.496170), (-3e-5, 0.1, 3.13575e-7, 0.497467)],
+    )
+    def test_roots_near_quasi_static_limit(self, K, z, p1_ref, p2_ref):
+        # the lower root shrinks like |K| and lies below any fixed floor on p
+        baths = Baths.from_ratio(z)
+        p1, p2 = find_jump_points(K, baths)
+        assert p1 == pytest.approx(p1_ref, rel=1e-5)
+        assert p2 == pytest.approx(p2_ref, rel=1e-5)
+        assert abs(adiabatic_f(p1, K, baths)) < 1e-10
+        assert abs(adiabatic_f(p2, K, baths)) < 1e-10
+
+    def test_no_jump_points_only_when_f_positive(self, baths03):
+        sol = solve_engine(baths03.z)
+        p_grid = np.geomspace(1e-250, 1 - 1e-15, 20_001)
+        below, above = 1.001 * sol.K_star, 0.999 * sol.K_star
+        assert min(adiabatic_f(float(p), below, baths03) for p in p_grid) > 0.0
+        with pytest.raises(NoJumpPoints):
+            find_jump_points(below, baths03)
+        assert min(adiabatic_f(float(p), above, baths03) for p in p_grid) < 0.0
+        p1, p2 = find_jump_points(above, baths03)
+        assert p1 < sol.p_star < p2
+
+    def test_tangency_has_sign_of_slope(self, baths03):
+        # the engine and switch-point searches rely on this: h shares the sign
+        # of df/dp and changes sign once, at the minimum of f
+        s = np.linspace(math.log(1e-200), math.log1p(-1e-12), 4001)
+        s_mid = 0.5 * (s[1:] + s[:-1])
+        for K in (-0.2, 1.001 * solve_engine(0.3).K_star, -0.05, -1e-6):
+            f = np.array([adiabatic_f(float(p), K, baths03) for p in np.exp(s)])
+            h = np.array([_tangency_h(float(p), K, baths03) for p in np.exp(s_mid)])
+            slope = np.diff(f)
+            resolved = np.abs(slope) > 1e-9 * np.maximum(np.abs(f[1:]), 1.0)
+            assert np.all(np.sign(slope[resolved]) == np.sign(h[resolved]))
+            assert np.count_nonzero(np.diff(np.sign(h)) != 0) == 1
 
 
 def engine_grid_oracle(z, k_lo, k_hi, n_rounds=40, n_p=10_000):
