@@ -28,7 +28,7 @@ from .two_level import (
     Branch,
     IsothermSegment,
     NoJumpPoints,
-    adiabatic_f,
+    adiabatic_f,  # unused here; kept importable as planner.adiabatic_f, which perfbench/tracer.py rebinds
     chi,
     find_jump_points,
     isotherm_p,
@@ -460,98 +460,61 @@ def monotonicity_profile(
     return rows
 
 
-def _jumps_hinted(K: float, baths: Baths, hint: tuple[float, float] | None) -> tuple[float, float]:
-    """Switch populations at K, bracketing locally around a nearby solution."""
-    if hint is None or hint[1] - hint[0] < 1e-6:
-        return find_jump_points(K, baths)
-    p1h, p2h = hint
-    pm = 0.5 * (p1h + p2h)
-    func = lambda p: adiabatic_f(p, K, baths)
-    if func(pm) >= 0.0:
-        return find_jump_points(K, baths)
-    width = 0.25 * (p2h - p1h)
-    a = max(1e-9, p1h - width)
-    for _ in range(60):
-        if func(a) > 0.0:
-            break
-        a = max(1e-9, pm - 2.0 * (pm - a))
-    else:
-        return find_jump_points(K, baths)
-    b = min(1.0 - 1e-9, p2h + width)
-    for _ in range(60):
-        if func(b) > 0.0:
-            break
-        b = min(1.0 - 1e-9, pm + 2.0 * (b - pm))
-    else:
-        return find_jump_points(K, baths)
-    p1 = float(brentq(func, a, pm, xtol=1e-13))
-    p2 = float(brentq(func, pm, b, xtol=1e-13))
-    return p1, p2
-
-
 class _DeadlinePricer:
     """Memoized (tau, Q) evaluator for deadline planning.
 
     Candidate selection is independent of the cycle count (every candidate
     shifts by the same N * cycle terms), so one zero-cycle build plus the
-    cycle closed forms price every N at a given K.
+    cycle closed forms price every N at a given K.  Each part is built on
+    first use, as most Ks are priced for one cycle count only.
     """
 
     def __init__(self, p_in: float, u_in: float, p_out: float, u_out: float, baths: Baths):
         self.args = (p_in, u_in, p_out, u_out)
         self.baths = baths
-        # K -> {"jumps": ..., "tau0": ..., "arcs": (tau_arcs, tau_cycle) or None}
-        self.memo: dict[float, dict | None] = {}
-        self.hint: tuple[float, float] | None = None
+        self._jumps: dict[float, tuple[float, float] | None] = {}
+        self._tau0: dict[float, float] = {}
+        self._cycles: dict[float, tuple[float, float] | None] = {}
 
-    def _entry(self, K: float) -> dict | None:
-        if K in self.memo:
-            return self.memo[K]
-        try:
-            jumps = _jumps_hinted(K, self.baths, self.hint)
-            self.hint = jumps
-        except NoJumpPoints:
-            jumps = None
-        entry: dict | None = {"jumps": jumps}
-        try:
-            plan0 = build_trajectory(*self.args, K, 0, self.baths, _jumps=jumps)
-            entry["tau0"] = plan0.total_time
-        except Unreachable:
-            entry["tau0"] = None
-        if jumps is not None:
+    def jumps(self, K: float) -> tuple[float, float] | None:
+        if K not in self._jumps:
             try:
-                base1 = build_trajectory(*self.args, K, 1, self.baths, _jumps=jumps)
-                p1, p2 = jumps
-                hot = segment_from_populations(HOT, K, self.baths, p1, p2)
-                cold = segment_from_populations(COLD, K, self.baths, p2, p1)
-                tau_cyc = hot.duration + cold.duration
-                entry["arcs"] = (base1.total_time - tau_cyc, tau_cyc)
-            except Unreachable:
-                entry["arcs"] = None
-        else:
-            entry["arcs"] = None
-        if entry["tau0"] is None and entry["arcs"] is None:
-            entry = None
-        self.memo[K] = entry
-        return entry
+                self._jumps[K] = find_jump_points(K, self.baths)
+            except NoJumpPoints:
+                self._jumps[K] = None
+        return self._jumps[K]
+
+    def cycle_terms(self, K: float) -> tuple[float, float] | None:
+        """(tau_arcs, tau_cyc) with tau(K, N) = tau_arcs + N tau_cyc for N >= 1."""
+        if K not in self._cycles:
+            jumps = self.jumps(K)
+            terms = None
+            if jumps is not None:
+                base1 = self.plan(K, 1)
+                if base1 is not None:
+                    p1, p2 = jumps
+                    hot = segment_from_populations(HOT, K, self.baths, p1, p2)
+                    cold = segment_from_populations(COLD, K, self.baths, p2, p1)
+                    tau_cyc = hot.duration + cold.duration
+                    terms = (base1.total_time - tau_cyc, tau_cyc)
+            self._cycles[K] = terms
+        return self._cycles[K]
 
     def tau(self, K: float, n: int) -> float:
-        entry = self._entry(K)
-        if entry is None:
-            return math.nan
         if n == 0:
-            return entry["tau0"] if entry["tau0"] is not None else math.nan
-        if entry["arcs"] is None:
+            if K not in self._tau0:
+                plan0 = self.plan(K, 0)
+                self._tau0[K] = plan0.total_time if plan0 is not None else math.nan
+            return self._tau0[K]
+        terms = self.cycle_terms(K)
+        if terms is None:
             return math.nan
-        tau_arcs, tau_cyc = entry["arcs"]
+        tau_arcs, tau_cyc = terms
         return tau_arcs + n * tau_cyc
 
     def plan(self, K: float, n: int) -> TrajectoryPlan | None:
-        entry = self._entry(K)
-        if entry is None:
-            return None
         try:
-            return build_trajectory(*self.args, K, n, self.baths, _jumps=entry["jumps"])
+            return build_trajectory(*self.args, K, n, self.baths, _jumps=self.jumps(K))
         except Unreachable:
             return None
 
@@ -568,13 +531,18 @@ def plan_for_deadline(
 ) -> TrajectoryPlan:
     """Minimum-heat plan meeting an exact total duration.
 
-    For each cycle count N the duration is monotone in K, so K is pinned by
-    a bracketed root solve (the bracket shrinks as N grows, since one more
-    cycle at the previous K always overshoots the deadline); among the
-    (K, N) pairs meeting the deadline the smallest heat wins, ties broken
-    toward larger N.  Longer deadlines admit more inner cycles at lower K,
-    which strictly lowers the heat, so the largest feasible N tends to win.
+    At a fixed cycle count N the duration tau(K, N) = tau_arcs(K) + N
+    tau_cyc(K) rises with K, so K is pinned by a bracketed root solve.  The
+    largest N that fits the deadline is read from that closed form at a
+    floor k_c = K*(1 - r) on K, capped at max_cycles.  Close to K* the
+    deadline equation is ill-conditioned in K (one ulp of K can move tau by
+    more than the tolerance), so when the plan solved at that N misses the
+    deadline, r grows fourfold and N is read again.  The plan found this way
+    and the zero-cycle plan compete: the smaller heat wins, ties go to the
+    larger N.
     """
+    if max_cycles < 0:
+        raise ValueError(f"max_cycles must be non-negative, got {max_cycles}")
     baths = baths or Baths()
     sol = solve_engine(baths.z, beta_c=baths.beta_c, gamma=baths.gamma)
     k_floor = sol.K_star * (1.0 - 1e-9)  # just above the tangency
@@ -585,50 +553,61 @@ def plan_for_deadline(
         raise Unreachable(k_floor, "endpoints unreachable even at the fastest admissible rate")
     if tau_target < tau_min * (1.0 - 1e-12):
         raise DeadlineInfeasible(tau_target, tau_min)
+    tau_hi = tau_target * (1.0 + tau_rtol)
 
-    def solve_k(n: int, k_hi_seed: float) -> float | None:
-        """K with tau(K, n) = tau_target inside (k_floor, k_hi_seed]."""
-        lo_tau = pricer.tau(k_floor, n)
-        if math.isnan(lo_tau) or lo_tau > tau_target * (1.0 + tau_rtol):
+    def solve(n: int, k_lo: float) -> TrajectoryPlan | None:
+        """Plan with n cycles at the K >= k_lo where it meets the deadline."""
+        lo_tau = pricer.tau(k_lo, n)
+        if math.isnan(lo_tau) or lo_tau > tau_hi:
             return None
         if abs(lo_tau - tau_target) <= tau_rtol * tau_target:
-            return k_floor
-        k_hi = k_hi_seed
-        hi_tau = pricer.tau(k_hi, n)
-        for _ in range(200):
-            if math.isnan(hi_tau) or hi_tau >= tau_target:
-                break
-            k_hi *= 0.6
-            hi_tau = pricer.tau(k_hi, n)
-        if math.isnan(hi_tau):
-            return None
-        if abs(hi_tau - tau_target) <= tau_rtol * tau_target:
-            return k_hi
-        if hi_tau < tau_target:
-            return None
+            k_sol = k_lo
+        else:
+            k_hi, hi_tau = k_lo, lo_tau
+            for _ in range(200):
+                if math.isnan(hi_tau) or hi_tau >= tau_target:
+                    break
+                k_hi *= 0.6
+                hi_tau = pricer.tau(k_hi, n)
+            if math.isnan(hi_tau):
+                return None
+            if abs(hi_tau - tau_target) <= tau_rtol * tau_target:
+                k_sol = k_hi
+            elif hi_tau < tau_target:
+                return None
+            else:
 
-        def gap(K: float) -> float:
-            t = pricer.tau(K, n)
-            return t - tau_target if not math.isnan(t) else math.inf
+                def gap(K: float) -> float:
+                    t = pricer.tau(K, n)
+                    return t - tau_target if not math.isnan(t) else math.inf
 
-        return float(brentq(gap, k_floor, k_hi, xtol=1e-15, rtol=8.9e-16))
-
-    best: TrajectoryPlan | None = None
-    k_prev = k_floor
-    for n in range(max_cycles + 1):
-        k_sol = solve_k(n, k_hi_seed=k_prev if n > 0 else k_floor)
-        if k_sol is None:
-            if n == 0:
-                continue
-            break  # adding cycles beyond this point always overshoots
-        k_prev = k_sol
+                # K to a few ulps: relative to K*, so the solve is the same at any unit scale
+                k_sol = float(brentq(gap, k_lo, k_hi, xtol=1e-15 * abs(sol.K_star), rtol=8.9e-16))
         plan = pricer.plan(k_sol, n)
         if plan is None or abs(plan.total_time - tau_target) > max(tau_rtol * tau_target, 1e-9):
+            return None
+        return plan
+
+    best = solve(0, k_floor)
+    r, n_missed = 1e-9, max_cycles + 1
+    while max_cycles > 0 and r < 1.0:
+        k_c = sol.K_star * (1.0 - r)
+        r *= 4.0
+        terms = pricer.cycle_terms(k_c)
+        if terms is None:
+            break
+        tau_arcs, tau_cyc = terms
+        n = max_cycles if tau_cyc == 0.0 else int(min(max_cycles, (tau_hi - tau_arcs) // tau_cyc))
+        if n < 1:
+            break
+        if n == n_missed:  # same equation, same ill-conditioned root
             continue
-        if best is None or plan.total_heat < best.total_heat or (
-            plan.total_heat == best.total_heat and plan.n_cycles >= best.n_cycles
-        ):
-            best = plan
+        plan = solve(n, k_c)
+        if plan is not None:
+            if best is None or plan.total_heat <= best.total_heat:
+                best = plan
+            break
+        n_missed = n
     if best is None:
         raise DeadlineInfeasible(tau_target, tau_min)
     return best
@@ -665,12 +644,35 @@ class PlanSamples:
     q_cum: np.ndarray
 
 
+def _arc_rows(seg: IsothermSegment, baths: Baths, samples: int) -> list[tuple[float, float, float, float, float]]:
+    """(local t, u, p, q, heat since arc start) on a uniform grid along one arc."""
+    beta = baths.beta(seg.branch.kind)
+    mu_val = mu(seg.K, beta, seg.branch, baths.gamma)
+    local = np.linspace(0.0, seg.duration, max(samples, 2))
+    xi0 = xi(seg.x0, mu_val)
+    rows = []
+    for dt, x in zip(local, _x_at_times(seg, baths, local)):
+        u_val = (2.0 / beta) * math.log(x)
+        q = 0.5 * ((mu_val / beta) * (1.0 + x * x) / x - u_val)
+        rows.append((dt, u_val, isotherm_p(x, mu_val), q, (xi(x, mu_val) - xi0) / beta))
+    return rows
+
+
+def _rows_by_arc(plan: TrajectoryPlan, samples: int) -> dict[IsothermSegment, list[tuple]]:
+    """Rows of each distinct arc of the plan; repeated cycles share their arcs."""
+    rows: dict[IsothermSegment, list[tuple]] = {}
+    for entry in plan.segments:
+        if isinstance(entry, IsothermSegment) and entry not in rows:
+            rows[entry] = _arc_rows(entry, plan.baths, samples)
+    return rows
+
+
 def sample_plan(plan: TrajectoryPlan, samples_per_segment: int = 1000) -> PlanSamples:
     """Sample every arc on a uniform local grid; quenches contribute twin points."""
     ts, us, ps, qs, brs, qcums = [], [], [], [], [], []
     t0 = 0.0
     heat_acc = 0.0
-    baths = plan.baths
+    rows = _rows_by_arc(plan, samples_per_segment)
     for entry in plan.segments:
         if isinstance(entry, AdiabaticJump):
             branch_label = (entry.to_branch or entry.from_branch or COLD).kind
@@ -682,19 +684,13 @@ def sample_plan(plan: TrajectoryPlan, samples_per_segment: int = 1000) -> PlanSa
                 brs.append(branch_label)
                 qcums.append(heat_acc)
             continue
-        beta = baths.beta(entry.branch.kind)
-        mu_val = mu(entry.K, beta, entry.branch, baths.gamma)
-        local = np.linspace(0.0, entry.duration, max(samples_per_segment, 2))
-        xs = _x_at_times(entry, baths, local)
-        xi0 = xi(entry.x0, mu_val)
-        for dt, x in zip(local, xs):
-            u_val = (2.0 / beta) * math.log(x)
+        for dt, u_val, p, q, dq in rows[entry]:
             ts.append(t0 + dt)
             us.append(u_val)
-            ps.append(isotherm_p(x, mu_val))
-            qs.append(0.5 * ((mu_val / beta) * (1.0 + x * x) / x - u_val))
+            ps.append(p)
+            qs.append(q)
             brs.append(entry.branch.kind)
-            qcums.append(heat_acc + (xi(x, mu_val) - xi0) / beta)
+            qcums.append(heat_acc + dq)
         t0 += entry.duration
         heat_acc += entry.heat
     return PlanSamples(
@@ -776,22 +772,16 @@ def plan_nodes(plan: TrajectoryPlan, samples_per_segment: int = 50) -> list[pmp.
     """Uniformly sampled (rho, pi, control) nodes for the residual checkers."""
     nodes: list[pmp.TrajectoryNode] = []
     t0 = 0.0
+    rows = _rows_by_arc(plan, samples_per_segment)
     for entry in plan.segments:
         if isinstance(entry, AdiabaticJump):
             continue
-        beta = plan.baths.beta(entry.branch.kind)
-        mu_val = mu(entry.K, beta, entry.branch, plan.baths.gamma)
-        local = np.linspace(0.0, entry.duration, max(samples_per_segment, 2))
-        xs = _x_at_times(entry, plan.baths, local)
-        for dt, x in zip(local, xs):
-            p = isotherm_p(x, mu_val)
-            u_val = (2.0 / beta) * math.log(x)
-            q = 0.5 * ((mu_val / beta) * (1.0 + x * x) / x - u_val)
-            ctrl_kwargs = (
-                {"gamma_c": plan.baths.gamma, "gamma_h": 0.0}
-                if entry.branch.kind == "cold"
-                else {"gamma_c": 0.0, "gamma_h": plan.baths.gamma}
-            )
+        ctrl_kwargs = (
+            {"gamma_c": plan.baths.gamma, "gamma_h": 0.0}
+            if entry.branch.kind == "cold"
+            else {"gamma_c": 0.0, "gamma_h": plan.baths.gamma}
+        )
+        for dt, u_val, p, q, _ in rows[entry]:
             nodes.append(
                 pmp.TrajectoryNode(
                     t=t0 + dt,

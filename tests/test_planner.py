@@ -1,10 +1,13 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from pmp_thermo import planner
 from pmp_thermo.lindblad import TwoLevelResetModel, integrate
 from pmp_thermo.planner import (
     DeadlineInfeasible,
@@ -23,6 +26,7 @@ from pmp_thermo.planner import (
 from pmp_thermo.two_level import (
     COLD,
     HOT,
+    Baths,
     find_jump_points,
     isotherm_u_of_p,
     mu,
@@ -247,12 +251,106 @@ class TestDeadlinePlanner:
         plan = plan_for_deadline(0.07, 1.0, 0.26, 6.0, 33.0, baths03, max_cycles=64)
         assert plan.total_time == pytest.approx(33.0, rel=1e-9)
 
+    def test_negative_cycle_cap_rejected(self, baths03):
+        with pytest.raises(ValueError):
+            plan_for_deadline(0.07, 1.0, 0.26, 6.0, 20.0, baths03, max_cycles=-1)
+
     def test_infeasible_deadline_reports_minimum(self, baths03, worked_plan):
         sol = solve_engine(baths03.z)
         fast = build_trajectory(0.07, 1.0, 0.26, 6.0, sol.K_star * (1 - 1e-9), 0, baths03)
         with pytest.raises(DeadlineInfeasible) as err:
             plan_for_deadline(0.07, 1.0, 0.26, 6.0, fast.total_time * 0.5, baths03)
         assert err.value.tau_min == pytest.approx(fast.total_time, rel=1e-6)
+
+
+def _scan_deadline_plan(p_in, u_in, p_out, u_out, tau_target, baths, max_cycles, tau_rtol=1e-9):
+    """Test oracle: one root solve in K for every cycle count N = 0 ... max_cycles.
+
+    This is the search plan_for_deadline ran before it read the cycle count
+    from the closed form: each N gets its own bracketed solve (the bracket
+    shrinks as N grows), and among the plans that meet the deadline the
+    least heat wins, ties going to the larger N.
+    """
+    sol = solve_engine(baths.z, beta_c=baths.beta_c, gamma=baths.gamma)
+    k_floor = sol.K_star * (1.0 - 1e-9)
+    pricer = planner._DeadlinePricer(p_in, u_in, p_out, u_out, baths)
+
+    def solve_k(n, k_hi_seed):
+        lo_tau = pricer.tau(k_floor, n)
+        if math.isnan(lo_tau) or lo_tau > tau_target * (1.0 + tau_rtol):
+            return None
+        if abs(lo_tau - tau_target) <= tau_rtol * tau_target:
+            return k_floor
+        k_hi = k_hi_seed
+        hi_tau = pricer.tau(k_hi, n)
+        for _ in range(200):
+            if math.isnan(hi_tau) or hi_tau >= tau_target:
+                break
+            k_hi *= 0.6
+            hi_tau = pricer.tau(k_hi, n)
+        if math.isnan(hi_tau):
+            return None
+        if abs(hi_tau - tau_target) <= tau_rtol * tau_target:
+            return k_hi
+        if hi_tau < tau_target:
+            return None
+
+        def gap(K):
+            t = pricer.tau(K, n)
+            return t - tau_target if not math.isnan(t) else math.inf
+
+        return float(brentq(gap, k_floor, k_hi, xtol=1e-15, rtol=8.9e-16))
+
+    best = None
+    k_prev = k_floor
+    for n in range(max_cycles + 1):
+        k_sol = solve_k(n, k_hi_seed=k_prev if n > 0 else k_floor)
+        if k_sol is None:
+            if n == 0:
+                continue
+            break
+        k_prev = k_sol
+        plan = pricer.plan(k_sol, n)
+        if plan is None or abs(plan.total_time - tau_target) > max(tau_rtol * tau_target, 1e-9):
+            continue
+        if best is None or plan.total_heat < best.total_heat or (
+            plan.total_heat == best.total_heat and plan.n_cycles >= best.n_cycles
+        ):
+            best = plan
+    return best
+
+
+def _tau_min(z):
+    return build_trajectory(*ENDPOINTS.values(), solve_engine(z).K_star * (1 - 1e-9), 0, Baths.from_ratio(z)).total_time
+
+
+class TestDeadlineSearch:
+    @pytest.mark.parametrize("max_cycles", [8, 64])
+    @pytest.mark.parametrize("stretch", [1.05, 10.0])
+    @pytest.mark.parametrize("z", [0.3, 0.9])
+    def test_no_worse_than_scan(self, z, stretch, max_cycles):
+        baths = Baths.from_ratio(z)
+        tau = stretch * _tau_min(z)
+        plan = plan_for_deadline(*ENDPOINTS.values(), tau, baths, max_cycles=max_cycles)
+        scan = _scan_deadline_plan(*ENDPOINTS.values(), tau, baths, max_cycles)
+        assert abs(plan.total_time - tau) <= max(1e-9 * tau, 1e-9)
+        assert plan.n_cycles <= max_cycles
+        assert plan.total_heat <= scan.total_heat + 1e-8 * abs(scan.total_heat)
+
+    @pytest.mark.parametrize("tau", [3.34, 5000.0])
+    def test_switch_point_solves_bounded(self, baths03, monkeypatch, tau):
+        # a few root solves, not one per cycle count up to max_cycles = 1024;
+        # tau_min is 3.18 for these endpoints
+        calls = []
+
+        def counted(K, baths):
+            calls.append(K)
+            return find_jump_points(K, baths)
+
+        monkeypatch.setattr(planner, "find_jump_points", counted)
+        plan = plan_for_deadline(*ENDPOINTS.values(), tau, baths03)
+        assert abs(plan.total_time - tau) <= 1e-9 * tau
+        assert len(calls) <= 150
 
 
 class TestSamplingAndExport:
@@ -276,6 +374,19 @@ class TestSamplingAndExport:
         assert data["n_cycles"] == 0
         assert [s["type"] for s in data["segments"]] == ["jump", "isotherm", "jump", "isotherm", "jump"]
         assert data["total_heat"] == pytest.approx(worked_plan.total_heat, abs=1e-15)
+
+    def test_repeated_cycles_shift_in_time_and_heat(self, baths03):
+        # copies of the inner cycle share their arcs; each copy is offset in t and Qcum
+        plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
+        samples = sample_plan(plan, samples_per_segment=20)
+        dec = cycle_decomposition(K_REF, baths03)
+        assert np.all(np.diff(samples.t) >= -1e-12)
+        assert samples.t[-1] == pytest.approx(plan.total_time, abs=1e-12)
+        assert samples.q_cum[-1] == pytest.approx(plan.total_heat, abs=1e-10)
+        ends = np.flatnonzero((samples.branch == "hot") & np.isclose(samples.p, dec.p_ad2, rtol=0.0, atol=1e-12))
+        assert ends.size == 3
+        assert np.diff(samples.t[ends]) == pytest.approx([dec.tau_cycle] * 2, abs=1e-12)
+        assert np.diff(samples.q_cum[ends]) == pytest.approx([dec.q_cycle] * 2, abs=1e-12)
 
     def test_csv_deterministic(self, worked_plan):
         buf1, buf2 = io.StringIO(), io.StringIO()

@@ -1,4 +1,4 @@
-"""Property tests of the engine and switch-point solvers over the admissible domain.
+"""Property tests of the engine, switch-point and deadline solvers over the admissible domain.
 
 z spans 1e-4 ... 0.9999 and beta_c, gamma span 1e-3 ... 1e3 (log-uniform).
 Runs are derandomized, so the drawn cases repeat from run to run.
@@ -9,6 +9,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmp_thermo.planner import build_trajectory, plan_for_deadline
 from pmp_thermo.two_level import Baths, adiabatic_f, engine_residuals, find_jump_points, solve_engine
 
 ratios = st.floats(min_value=1e-4, max_value=0.9999)
@@ -53,3 +54,24 @@ def test_jump_points_bracket_working_point(z, beta_c, gamma, t):
     assert abs(adiabatic_f(p1, K, baths)) <= 1e-10
     assert abs(adiabatic_f(p2, K, baths)) <= 1e-10
     assert p1 < sol.p_star < p2
+
+
+@prop
+@given(
+    z=st.floats(min_value=0.02, max_value=0.98),
+    beta_c=scales,
+    gamma=scales,
+    stretch=st.floats(min_value=math.log(1.01), max_value=math.log(100.0)).map(math.exp),
+    max_cycles=st.integers(min_value=0, max_value=8),
+)
+def test_deadline_unit_scaling(z, beta_c, gamma, stretch, max_cycles):
+    # the worked endpoints; gaps scale as 1/beta_c, the deadline as 1/gamma
+    p_in, u_in, p_out, u_out = 0.07, 1.0, 0.26, 6.0
+    unit = Baths.from_ratio(z)
+    k_fast = solve_engine(z).K_star * (1.0 - 1e-9)
+    tau = stretch * build_trajectory(p_in, u_in, p_out, u_out, k_fast, 0, unit).total_time
+    ref = plan_for_deadline(p_in, u_in, p_out, u_out, tau, unit, max_cycles=max_cycles)
+    baths = Baths.from_ratio(z, beta_c=beta_c, gamma=gamma)
+    plan = plan_for_deadline(p_in, u_in / beta_c, p_out, u_out / beta_c, tau / gamma, baths, max_cycles=max_cycles)
+    assert abs(plan.total_time * gamma - tau) <= 1e-9 * tau
+    assert abs(plan.total_heat * beta_c - ref.total_heat) <= 1e-8 * abs(ref.total_heat)
