@@ -33,7 +33,7 @@ __all__ = [
 
 _MAX_INTERVALS = 8
 _MAX_LEVELS = 12
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20  # protocols held in memory at once; at least _MAX_LEVELS
 
 
 class InfeasibleTarget(Exception):
@@ -73,8 +73,12 @@ class ProtocolGrid:
             raise ValueError(f"n_intervals must lie in [1, {_MAX_INTERVALS}], got {self.n_intervals}")
         if not 1 <= len(self.u_levels) <= _MAX_LEVELS:
             raise ValueError(f"need 1..{_MAX_LEVELS} gap levels, got {len(self.u_levels)}")
-        if self.tau <= 0.0:
+        if not all(math.isfinite(u) for u in self.u_levels):
+            raise ValueError(f"gap levels must be finite, got {self.u_levels}")
+        if not self.tau > 0.0:
             raise ValueError(f"horizon must be positive, got {self.tau}")
+        if not self.bath_patterns:
+            raise ValueError("need at least one bath pattern")
         for pattern in self.bath_patterns:
             if len(pattern) != self.n_intervals:
                 raise ValueError(f"pattern {pattern} does not match n_intervals={self.n_intervals}")
@@ -130,6 +134,18 @@ class GridSearchResult:
     wall_time: float
 
 
+def _relax(p: np.ndarray, peq: np.ndarray, decay: float) -> np.ndarray:
+    """Populations after one interval: a row per prefix, a column per gap level."""
+    return peq + (p[:, None] - peq) * decay
+
+
+def _step(p: np.ndarray, q: np.ndarray, peq: np.ndarray, levels: np.ndarray, decay: float):
+    """Advance every prefix by one interval at every gap level, the level varying fastest."""
+    p_new = _relax(p, peq, decay)
+    q_new = q[:, None] - levels * (p_new - p[:, None])
+    return p_new.reshape(-1), q_new.reshape(-1)
+
+
 def grid_search(
     p_in: float,
     p_out: float,
@@ -141,15 +157,25 @@ def grid_search(
 
     Enumeration is exhaustive in lexicographic order (patterns outer, gap
     digits inner with the first interval most significant); identical grids
-    therefore yield identical results bit for bit.
+    therefore yield identical results bit for bit.  Each pattern is expanded
+    one interval at a time, so every prefix is stepped once: the first
+    `depth` intervals in full, the rest in blocks of whole prefixes holding
+    at most _CHUNK protocols.  The last interval steps only the population;
+    heat is taken for the protocols that land within p_tol.
     """
+    if not 0.0 <= p_in <= 1.0 or not 0.0 <= p_out <= 1.0:
+        raise ValueError(f"populations must lie in [0, 1], got p_in={p_in}, p_out={p_out}")
+    if not p_tol >= 0.0:
+        raise ValueError(f"landing tolerance must be non-negative, got {p_tol}")
     t_start = time.perf_counter()
     n = grid.n_intervals
     levels = np.asarray(grid.u_levels, dtype=float)
     n_levels = levels.size
     dt = grid.tau / n
     decay = math.exp(-baths.gamma * dt)
-    total = n_levels**n
+    depth = next(s for s in range(n) if n_levels ** (n - s) <= _CHUNK)
+    leaves = n_levels ** (n - depth)  # protocols under one prefix of length depth
+    per_block = _CHUNK // leaves
 
     peq_by_kind = {
         kind: np.array([_p_eq(u, baths.beta(kind)) for u in levels]) for kind in ("cold", "hot")
@@ -162,34 +188,33 @@ def grid_search(
     n_feasible = 0
 
     for ip, pattern in enumerate(grid.bath_patterns):
-        for start in range(0, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            p = np.full(idx.shape, p_in)
-            q = np.zeros(idx.shape)
-            for k, kind in enumerate(pattern):
-                digit = (idx // (n_levels ** (n - 1 - k))) % n_levels
-                u_k = levels[digit]
-                peq = peq_by_kind[kind][digit]
-                p_new = peq + (p - peq) * decay
-                q -= u_k * (p_new - p)
-                p = p_new
-            miss = np.abs(p - p_out)
+        peqs = [peq_by_kind[kind] for kind in pattern]
+        prefix_p, prefix_q = np.array([p_in], dtype=float), np.zeros(1)
+        for peq in peqs[:depth]:
+            prefix_p, prefix_q = _step(prefix_p, prefix_q, peq, levels, decay)
+        for start in range(0, prefix_p.size, per_block):
+            p, q = prefix_p[start : start + per_block], prefix_q[start : start + per_block]
+            for peq in peqs[depth:-1]:
+                p, q = _step(p, q, peq, levels, decay)
+            leaf_p = _relax(p, peqs[-1], decay).reshape(-1)
+            miss = np.abs(leaf_p - p_out)
             closest = min(closest, float(miss.min()))
-            feasible = miss <= p_tol
-            n_feasible += int(feasible.sum())
-            if feasible.any():
-                qf = np.where(feasible, q, math.inf)
-                j = int(np.argmin(qf))  # first minimum = lexicographically first
-                if qf[j] < best_q:
-                    best_q = float(qf[j])
-                    best_key = (ip, int(idx[j]))
-                    best_p = float(p[j])
+            hits = np.flatnonzero(miss <= p_tol)
+            n_feasible += hits.size
+            if hits.size:
+                parent, digit = np.divmod(hits, n_levels)
+                q_hit = q[parent] - levels[digit] * (leaf_p[hits] - p[parent])
+                k = int(np.argmin(q_hit))  # first minimum = lexicographically first
+                if q_hit[k] < best_q:
+                    best_q = float(q_hit[k])
+                    best_key = (ip, start * leaves + int(hits[k]))
+                    best_p = float(leaf_p[hits[k]])
 
     wall = time.perf_counter() - t_start
     if best_key is None:
         raise InfeasibleTarget(closest=closest, target=p_out)
     ip, code = best_key
-    digits = [(code // (n_levels ** (n - 1 - k))) % n_levels for k in range(n)]
+    digits = np.unravel_index(code, (n_levels,) * n)
     protocol = BangProtocol(
         durations=tuple([dt] * n),
         u_values=tuple(float(levels[d]) for d in digits),

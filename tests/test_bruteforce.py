@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from pmp_thermo import bruteforce
 from pmp_thermo.bruteforce import (
     BangProtocol,
+    GridSearchResult,
     InfeasibleTarget,
     ProtocolGrid,
     all_patterns,
@@ -45,6 +47,74 @@ def pmp_shaped_seed(plan, baths, n_total):
             kinds.append(arc.branch.kind)
         t0 += arc.duration
     return BangProtocol(durations=tuple(durations), u_values=tuple(us), baths_pattern=tuple(kinds))
+
+
+def _reference_grid_search(p_in, p_out, grid, baths, p_tol=1e-3):
+    """The digit-decoding enumeration: every protocol index decoded and stepped from p_in."""
+    chunk = 1 << 20
+    n = grid.n_intervals
+    levels = np.asarray(grid.u_levels, dtype=float)
+    n_levels = levels.size
+    dt = grid.tau / n
+    decay = math.exp(-baths.gamma * dt)
+    total = n_levels**n
+    peq_by_kind = {
+        kind: np.array([bruteforce._p_eq(u, baths.beta(kind)) for u in levels]) for kind in ("cold", "hot")
+    }
+    best_q, best_key, best_p = math.inf, None, math.nan
+    closest = math.inf
+    n_feasible = 0
+    for ip, pattern in enumerate(grid.bath_patterns):
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            p = np.full(idx.shape, p_in)
+            q = np.zeros(idx.shape)
+            for k, kind in enumerate(pattern):
+                digit = (idx // (n_levels ** (n - 1 - k))) % n_levels
+                u_k = levels[digit]
+                peq = peq_by_kind[kind][digit]
+                p_new = peq + (p - peq) * decay
+                q -= u_k * (p_new - p)
+                p = p_new
+            miss = np.abs(p - p_out)
+            closest = min(closest, float(miss.min()))
+            feasible = miss <= p_tol
+            n_feasible += int(feasible.sum())
+            if feasible.any():
+                qf = np.where(feasible, q, math.inf)
+                j = int(np.argmin(qf))
+                if qf[j] < best_q:
+                    best_q = float(qf[j])
+                    best_key = (ip, int(idx[j]))
+                    best_p = float(p[j])
+    if best_key is None:
+        raise InfeasibleTarget(closest=closest, target=p_out)
+    ip, code = best_key
+    digits = [(code // (n_levels ** (n - 1 - k))) % n_levels for k in range(n)]
+    protocol = BangProtocol(
+        durations=tuple([dt] * n),
+        u_values=tuple(float(levels[d]) for d in digits),
+        baths_pattern=grid.bath_patterns[ip],
+    )
+    return GridSearchResult(best_q, protocol, best_p, grid.n_protocols, n_feasible, 0.0)
+
+
+def assert_matches_reference(p_in, p_out, grid, baths, p_tol):
+    """grid_search agrees bit for bit with the reference, infeasible outcomes included."""
+    try:
+        ref = _reference_grid_search(p_in, p_out, grid, baths, p_tol)
+    except InfeasibleTarget as exc:
+        with pytest.raises(InfeasibleTarget) as err:
+            grid_search(p_in, p_out, grid, baths, p_tol)
+        assert err.value.closest_approach == exc.closest_approach
+        return None
+    res = grid_search(p_in, p_out, grid, baths, p_tol)
+    assert res.q_best == ref.q_best
+    assert res.protocol == ref.protocol
+    assert res.p_final == ref.p_final
+    assert res.n_feasible == ref.n_feasible
+    assert res.n_evaluated == ref.n_evaluated
+    return res
 
 
 class TestSimulation:
@@ -183,3 +253,108 @@ class TestLocalRefine:
         p_tol = max(1e-3, 1.5 * abs(p_final - 0.26))
         refined, q_ref = local_refine(seed, 0.07, 0.26, baths, p_tol=p_tol, step_schedule=(0.0,))
         assert refined == seed
+
+
+class TestLayeredEnumeration:
+    """grid_search against the digit-decoding reference, across block layouts."""
+
+    @pytest.mark.parametrize(
+        "n, levels, patterns, p_tol",
+        [
+            (1, LEVELS_FINE, all_patterns(1), 0.05),
+            (4, (5.0,), single_switch_patterns(4), 0.5),
+            (4, LEVELS_FINE, all_patterns(4), 1e-3),
+            (6, LEVELS_FINE, single_switch_patterns(6), 1e-3),
+        ],
+        ids=["n1", "L1", "all-patterns-4", "multi-block-6x12"],
+    )
+    def test_matches_reference(self, worked, n, levels, patterns, p_tol):
+        baths, plan = worked
+        grid = ProtocolGrid(n_intervals=n, u_levels=levels, bath_patterns=patterns, tau=plan.total_time)
+        assert assert_matches_reference(0.07, 0.26, grid, baths, p_tol) is not None
+
+    @pytest.mark.parametrize("n, levels", [(2, (0.0, 10.0)), (5, LEVELS_FINE)])
+    def test_infeasible_matches_reference(self, worked, n, levels):
+        baths, plan = worked
+        grid = ProtocolGrid(n_intervals=n, u_levels=levels, bath_patterns=all_patterns(n), tau=plan.total_time)
+        assert assert_matches_reference(0.07, 0.26, grid, baths, 0.0) is None
+
+    @pytest.mark.parametrize("chunk", [64, 100])
+    @pytest.mark.parametrize(
+        "levels, patterns",
+        [
+            (LEVELS_FINE, single_switch_patterns(4)),
+            ((0.0, 3.0, 3.0, 6.0, 9.0, 9.0, 10.5), all_patterns(4)),  # repeated levels tie across blocks
+        ],
+        ids=["L12", "L7-repeated"],
+    )
+    def test_small_blocks_match_reference(self, worked, monkeypatch, chunk, levels, patterns):
+        baths, plan = worked
+        monkeypatch.setattr(bruteforce, "_CHUNK", chunk)
+        grid = ProtocolGrid(n_intervals=4, u_levels=levels, bath_patterns=patterns, tau=plan.total_time)
+        assert assert_matches_reference(0.07, 0.26, grid, baths, 1e-2) is not None
+
+    def test_tie_goes_to_first_pattern(self, worked):
+        # with equal bath temperatures every pattern releases the same heats
+        _, plan = worked
+        baths = Baths(beta_c=1.0, beta_h=1.0)
+        p_out = bruteforce._p_eq(4.0, baths.beta_c)
+        grid = ProtocolGrid(n_intervals=4, u_levels=LEVELS_FINE, bath_patterns=all_patterns(4), tau=plan.total_time)
+        res = assert_matches_reference(0.07, p_out, grid, baths, 1e-3)
+        assert res.protocol.baths_pattern == grid.bath_patterns[0]
+
+    def test_exact_landing_is_feasible_at_zero_tolerance(self):
+        # staying at a Gibbs population lands with zero miss, which p_tol = 0 admits
+        baths = Baths(beta_c=1.0, beta_h=1.0)
+        p_eq = bruteforce._p_eq(2.0, baths.beta_c)
+        grid = ProtocolGrid(n_intervals=3, u_levels=(0.0, 1.0, 2.0, 3.0), bath_patterns=all_patterns(3), tau=2.0)
+        res = assert_matches_reference(p_eq, p_eq, grid, baths, 0.0)
+        assert res.q_best == 0.0
+        assert res.protocol.u_values == (2.0, 2.0, 2.0)
+
+    def test_blocks_hold_at_most_chunk_protocols(self, worked, monkeypatch):
+        baths, plan = worked
+        sizes = []
+        relax = bruteforce._relax
+
+        def spy(p, peq, decay):
+            out = relax(p, peq, decay)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(bruteforce, "_relax", spy)
+        grid = ProtocolGrid(
+            n_intervals=6, u_levels=LEVELS_FINE, bath_patterns=single_switch_patterns(6)[:1], tau=plan.total_time
+        )
+        grid_search(0.07, 0.26, grid, baths)
+        assert max(sizes) <= bruteforce._CHUNK
+        assert sum(sizes) < 1.1 * len(LEVELS_FINE) ** 6  # each prefix stepped once
+
+
+class TestInputChecks:
+    def test_grid_rejects_empty_patterns(self):
+        with pytest.raises(ValueError, match="bath pattern"):
+            ProtocolGrid(n_intervals=2, u_levels=(0.0, 1.0), bath_patterns=(), tau=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_grid_rejects_non_finite_levels(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolGrid(n_intervals=2, u_levels=(0.0, bad), bath_patterns=(("cold",) * 2,), tau=1.0)
+
+    def test_grid_rejects_nan_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            ProtocolGrid(n_intervals=2, u_levels=(0.0, 1.0), bath_patterns=(("cold",) * 2,), tau=math.nan)
+
+    @pytest.mark.parametrize("p_tol", [math.nan, -1.0, -1e-12])
+    def test_search_rejects_bad_tolerance(self, worked, p_tol):
+        baths, _ = worked
+        grid = ProtocolGrid(n_intervals=2, u_levels=(0.0, 1.0), bath_patterns=all_patterns(2), tau=1.0)
+        with pytest.raises(ValueError, match="tolerance"):
+            grid_search(0.07, 0.26, grid, baths, p_tol=p_tol)
+
+    @pytest.mark.parametrize("p_in, p_out", [(1.5, 0.2), (-0.1, 0.2), (math.nan, 0.2), (0.2, 1.5), (0.2, math.nan)])
+    def test_search_rejects_populations_outside_unit_interval(self, worked, p_in, p_out):
+        baths, _ = worked
+        grid = ProtocolGrid(n_intervals=2, u_levels=(0.0, 1.0), bath_patterns=all_patterns(2), tau=1.0)
+        with pytest.raises(ValueError, match="populations"):
+            grid_search(p_in, p_out, grid, baths, p_tol=1.0)

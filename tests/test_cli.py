@@ -206,6 +206,24 @@ class TestOracleCommand:
         assert set(report) == {"q_pmp", "q_brute", "gap", "n_protocols_evaluated", "wall_time"}
         assert report["gap"] >= -1e-3 * 11.0
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--p-tol", "nan", "tolerance"),
+            ("--p-tol", "-1", "tolerance"),
+            ("--u-max", "nan", "finite"),
+            ("--p-in", "1.5", "populations"),
+        ],
+    )
+    def test_bad_search_inputs_usage_error(self, capsys, flag, value, message):
+        code, _, err = run_cli(
+            capsys, "oracle", "--z", "0.3", "--K", "-0.05",
+            "--p-in", "0.07", "--u-in", "1", "--p-out", "0.26", "--u-out", "6",
+            "--intervals", "2", flag, value,
+        )
+        assert code == 2
+        assert message in err
+
 
 class TestDeterminismAndConfig:
     def test_byte_identical_outputs(self, capsys, tmp_path):

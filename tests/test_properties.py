@@ -1,4 +1,4 @@
-"""Property tests of the engine, switch-point and deadline solvers over the admissible domain.
+"""Property tests of the engine, switch-point and deadline solvers and the brute-force oracle.
 
 z spans 1e-4 ... 0.9999 and beta_c, gamma span 1e-3 ... 1e3 (log-uniform).
 Runs are derandomized, so the drawn cases repeat from run to run.
@@ -6,9 +6,17 @@ Runs are derandomized, so the drawn cases repeat from run to run.
 
 import math
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pmp_thermo.bruteforce import (
+    InfeasibleTarget,
+    ProtocolGrid,
+    grid_search,
+    simulate_bang_protocol,
+    single_switch_patterns,
+)
 from pmp_thermo.planner import build_trajectory, plan_for_deadline
 from pmp_thermo.two_level import Baths, adiabatic_f, engine_residuals, find_jump_points, solve_engine
 
@@ -75,3 +83,36 @@ def test_deadline_unit_scaling(z, beta_c, gamma, stretch, max_cycles):
     plan = plan_for_deadline(p_in, u_in / beta_c, p_out, u_out / beta_c, tau / gamma, baths, max_cycles=max_cycles)
     assert abs(plan.total_time * gamma - tau) <= 1e-9 * tau
     assert abs(plan.total_heat * beta_c - ref.total_heat) <= 1e-8 * abs(ref.total_heat)
+
+
+@prop
+@given(
+    z=st.floats(min_value=0.1, max_value=0.9),
+    k_frac=st.floats(min_value=0.3, max_value=0.9),
+    p_in=st.floats(min_value=0.06, max_value=0.07),
+    u_in=st.floats(min_value=0.5, max_value=1.5),
+    p_out=st.floats(min_value=0.25, max_value=0.27),
+    u_out=st.floats(min_value=5.0, max_value=7.0),
+)
+def test_oracle_never_beats_plan(z, k_frac, p_in, u_in, p_out, u_out):
+    # endpoints around the worked instance; p* lies between p_in and p_out.  Six
+    # even levels plus the gaps that hold p_out on either bath: long horizons
+    # relax each interval almost to Gibbs, and evenly spaced levels alone
+    # rarely land within p_tol for z above 0.3
+    p_tol = 1e-3
+    baths = Baths.from_ratio(z)
+    plan = build_trajectory(p_in, u_in, p_out, u_out, k_frac * solve_engine(z).K_star, 0, baths)
+    holds = [math.log(1.0 / p_out - 1.0) / baths.beta(kind) for kind in ("cold", "hot")]
+    levels = tuple(sorted([float(u) for u in np.linspace(0.0, 11.0, 6)] + holds))
+    grid = ProtocolGrid(
+        n_intervals=4, u_levels=levels, bath_patterns=single_switch_patterns(4), tau=plan.total_time
+    )
+    try:
+        res = grid_search(p_in, p_out, grid, baths, p_tol=p_tol)
+    except InfeasibleTarget:
+        assume(False)
+    # the landing window can shave at most u_max * p_tol off the heat
+    assert res.q_best >= plan.total_heat - max(levels) * p_tol
+    p_final, heat = simulate_bang_protocol(p_in, res.protocol, baths)
+    assert abs(heat - res.q_best) <= 1e-12
+    assert abs(p_final - res.p_final) <= 1e-12
