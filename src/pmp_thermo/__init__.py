@@ -29,7 +29,6 @@ from .two_level import (
     solve_engine,
 )
 from .lindblad import (
-    BathSpec,
     ControlVector,
     DiagonalResetModel,
     Protocol,
@@ -38,7 +37,6 @@ from .lindblad import (
     TwoLevelResetModel,
     integrate,
     lindblad_rhs,
-    thermal_dissipator,
 )
 from .pmp import (
     PmpResiduals,

@@ -20,7 +20,6 @@ from scipy.integrate import solve_ivp
 from .two_level import Baths
 
 __all__ = [
-    "BathSpec",
     "ControlVector",
     "ThermoLedger",
     "TwoLevelResetModel",
@@ -31,7 +30,6 @@ __all__ = [
     "IntegrationError",
     "TraceDriftError",
     "check_density_matrix",
-    "thermal_dissipator",
     "lindblad_rhs",
     "integrate",
     "write_trajectory_csv",
@@ -50,20 +48,6 @@ class IntegrationError(RuntimeError):
 
 class TraceDriftError(IntegrationError):
     """Trace of the state drifted beyond the allowed bound."""
-
-
-@dataclass(frozen=True)
-class BathSpec:
-    """One reservoir: inverse temperature and a cold/hot label."""
-
-    beta: float
-    label: str = "cold"
-
-    def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError(f"inverse temperature must be positive, got {self.beta}")
-        if self.label not in ("cold", "hot"):
-            raise ValueError(f"bath label must be 'cold' or 'hot', got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -125,65 +109,18 @@ def check_density_matrix(
         raise ValueError(f"negative eigenvalue {evals.min():.3e}")
 
 
-def _gibbs_diag(energies: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs populations for a diagonal Hamiltonian, overflow-safe."""
-    w = -beta * (energies - energies.min())
-    e = np.exp(w)
-    return e / e.sum()
-
-
-class TwoLevelResetModel:
-    """Two-level system with gap control u and reset dissipators toward Gibbs."""
-
-    dim = 2
-    n_controls = 1
-
-    def __init__(self, baths: Baths):
-        self.baths = baths
-
-    def _beta(self, kind: str) -> float:
-        return self.baths.beta(kind)
-
-    def hamiltonian(self, u: np.ndarray) -> np.ndarray:
-        h = np.zeros((2, 2), dtype=complex)
-        h[1, 1] = float(np.atleast_1d(u)[0])
-        return h
-
-    def dh_du(self, u: np.ndarray) -> np.ndarray:
-        d = np.zeros((1, 2, 2), dtype=complex)
-        d[0, 1, 1] = 1.0
-        return d
-
-    def equilibrium(self, u: np.ndarray, kind: str) -> np.ndarray:
-        gap = float(np.atleast_1d(u)[0])
-        arg = self._beta(kind) * gap
-        if not math.isfinite(arg):
-            raise ValueError(f"non-finite beta*u = {arg}")
-        p_eq = 0.5 * (1.0 - math.tanh(0.5 * arg))
-        return np.diag([1.0 - p_eq, p_eq]).astype(complex)
-
-    def dissipator(self, rho: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
-        return self.equilibrium(u, kind) * np.trace(rho) - rho
-
-    def adjoint_dissipator(self, a: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
-        eta = self.equilibrium(u, kind)
-        return np.trace(eta @ a) * np.eye(2, dtype=complex) - a
-
-    def ddissipator_du(self, rho: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
-        beta = self._beta(kind)
-        eta = self.equilibrium(u, kind)
-        p_eq = eta[1, 1].real
-        dp = -beta * p_eq * (1.0 - p_eq)
-        deta = np.diag([-dp, dp]).astype(complex)
-        return (deta * np.trace(rho))[np.newaxis, :, :]
+def _trace(m: np.ndarray) -> complex:
+    # np.trace costs a few microseconds on a 2x2 matrix, and the integrator takes
+    # a trace in every right-hand-side evaluation
+    return sum(m.diagonal().tolist())
 
 
 class DiagonalResetModel:
     """N-level ladder with controllable level energies relaxing to Gibbs at unit rate.
 
     Level 0 is pinned at zero energy; the control vector holds the energies of
-    levels 1..n-1.  This is an artifact generalization used for cross-checks,
-    not a physical claim beyond the two-level case.
+    levels 1..n-1.  Beyond two levels this is an artifact generalization used
+    for cross-checks, not a physical claim.
     """
 
     def __init__(self, baths: Baths, dim: int):
@@ -192,59 +129,79 @@ class DiagonalResetModel:
         self.baths = baths
         self.dim = dim
         self.n_controls = dim - 1
+        self._dh_du = np.zeros((self.n_controls, dim, dim), dtype=complex)
+        for k in range(self.n_controls):
+            self._dh_du[k, k + 1, k + 1] = 1.0
+        self._dh_du.flags.writeable = False
 
-    def _beta(self, kind: str) -> float:
-        return self.baths.beta(kind)
-
-    def _energies(self, u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+    def _controls(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float).ravel()
         if u.size != self.n_controls:
             raise ValueError(f"expected {self.n_controls} controls, got {u.size}")
-        return np.concatenate(([0.0], u))
+        return u
+
+    def _gibbs(self, u: np.ndarray, kind: str) -> list[float]:
+        """Populations exp(beta (E_min - E_i)) / sum: no overflow, and tiny ones
+        keep their relative accuracy."""
+        beta = self.baths.beta(kind)
+        scaled = [0.0] + [beta * e for e in self._controls(u).tolist()]
+        for a in scaled:
+            if not math.isfinite(a):
+                raise ValueError(f"non-finite beta*u = {a}")
+        low = min(scaled)
+        weights = [math.exp(low - a) for a in scaled]
+        total = sum(weights)
+        return [w / total for w in weights]
 
     def hamiltonian(self, u: np.ndarray) -> np.ndarray:
-        return np.diag(self._energies(u)).astype(complex)
+        h = np.zeros((self.dim, self.dim), dtype=complex)
+        for k, e in enumerate(self._controls(u).tolist(), 1):
+            h[k, k] = e
+        return h
 
     def dh_du(self, u: np.ndarray) -> np.ndarray:
-        d = np.zeros((self.n_controls, self.dim, self.dim), dtype=complex)
-        for k in range(self.n_controls):
-            d[k, k + 1, k + 1] = 1.0
-        return d
+        return self._dh_du
 
     def equilibrium(self, u: np.ndarray, kind: str) -> np.ndarray:
-        pops = _gibbs_diag(self._energies(u), self._beta(kind))
-        return np.diag(pops).astype(complex)
+        eta = np.zeros((self.dim, self.dim), dtype=complex)
+        eta.flat[:: self.dim + 1] = self._gibbs(u, kind)
+        return eta
 
     def dissipator(self, rho: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
-        return self.equilibrium(u, kind) * np.trace(rho) - rho
+        """eta tr(rho) - rho, with eta the diagonal Gibbs state."""
+        rho = np.asarray(rho, dtype=complex)
+        tr = _trace(rho)
+        out = -rho
+        for i, p in enumerate(self._gibbs(u, kind)):
+            out[i, i] += p * tr
+        return out
 
     def adjoint_dissipator(self, a: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
-        eta = self.equilibrium(u, kind)
-        return np.trace(eta @ a) * np.eye(self.dim, dtype=complex) - a
+        """tr(eta a) 1 - a."""
+        a = np.asarray(a, dtype=complex)
+        mean = sum(p * d for p, d in zip(self._gibbs(u, kind), a.diagonal().tolist()))
+        out = -a
+        for i in range(self.dim):
+            out[i, i] += mean
+        return out
 
     def ddissipator_du(self, rho: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
-        beta = self._beta(kind)
-        pops = np.diag(self.equilibrium(u, kind)).real
+        beta = self.baths.beta(kind)
+        pops = self._gibbs(u, kind)
+        tr = _trace(np.asarray(rho, dtype=complex))
         out = np.zeros((self.n_controls, self.dim, self.dim), dtype=complex)
-        tr = np.trace(rho)
         for k in range(self.n_controls):
             # d eta_i / d eps_k = beta * eta_i * (eta_k - delta_ik)
-            dpops = beta * pops * (pops[k + 1] - (np.arange(self.dim) == k + 1))
-            out[k] = np.diag(dpops) * tr
+            for i, p in enumerate(pops):
+                out[k, i, i] = beta * p * (pops[k + 1] - (i == k + 1)) * tr
         return out
 
 
-def thermal_dissipator(rho: np.ndarray, bath: BathSpec, u: float) -> np.ndarray:
-    """Two-level reset map at unit rate: eta_beta(u) - rho."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"two-level state expected, got shape {rho.shape}")
-    arg = bath.beta * float(u)
-    if not math.isfinite(arg):
-        raise ValueError(f"non-finite beta*u = {arg}")
-    p_eq = 0.5 * (1.0 - math.tanh(0.5 * arg))
-    eta = np.diag([1.0 - p_eq, p_eq]).astype(complex)
-    return eta * np.trace(rho) - rho
+class TwoLevelResetModel(DiagonalResetModel):
+    """Two-level system with gap control u: the ladder model at dim 2."""
+
+    def __init__(self, baths: Baths):
+        super().__init__(baths, 2)
 
 
 def lindblad_rhs(rho: np.ndarray, control: ControlVector, model) -> np.ndarray:

@@ -36,6 +36,7 @@ from .two_level import (
     isotherm_u_of_p,
     isotherm_x_of_p,
     mu,
+    _q_of_x,
     segment_from_populations,
     solve_engine,
     xi,
@@ -155,22 +156,14 @@ class TrajectoryPlan:
         """Worst |dp| and |dq| across interior switches (q from both branches)."""
         worst_dp, worst_dq = 0.0, 0.0
         for j in self.switch_jumps:
-            q_from = isotherm_q_of_p(
-                j.p,
-                mu(self.K, self.baths.beta(j.from_branch.kind), j.from_branch, self.baths.gamma),
-                self.baths.beta(j.from_branch.kind),
-            )
-            q_to = isotherm_q_of_p(
-                j.p,
-                mu(self.K, self.baths.beta(j.to_branch.kind), j.to_branch, self.baths.gamma),
-                self.baths.beta(j.to_branch.kind),
-            )
+            mu_from = _mu_on(j.from_branch, self.K, self.baths)
+            mu_to = _mu_on(j.to_branch, self.K, self.baths)
+            q_from = isotherm_q_of_p(j.p, mu_from, self.baths.beta(j.from_branch.kind))
+            q_to = isotherm_q_of_p(j.p, mu_to, self.baths.beta(j.to_branch.kind))
             worst_dq = max(worst_dq, abs(q_from - q_to))
             # p is shared by construction; recompute from both arcs' x to expose drift
-            x_from = isotherm_x_of_p(j.p, mu(self.K, self.baths.beta(j.from_branch.kind), j.from_branch, self.baths.gamma))
-            x_to = isotherm_x_of_p(j.p, mu(self.K, self.baths.beta(j.to_branch.kind), j.to_branch, self.baths.gamma))
-            p_from = isotherm_p(x_from, mu(self.K, self.baths.beta(j.from_branch.kind), j.from_branch, self.baths.gamma))
-            p_to = isotherm_p(x_to, mu(self.K, self.baths.beta(j.to_branch.kind), j.to_branch, self.baths.gamma))
+            p_from = isotherm_p(isotherm_x_of_p(j.p, mu_from), mu_from)
+            p_to = isotherm_p(isotherm_x_of_p(j.p, mu_to), mu_to)
             worst_dp = max(worst_dp, abs(p_from - p_to))
         return worst_dp, worst_dq
 
@@ -224,9 +217,12 @@ def cycle_decomposition(K: float, baths: Baths) -> CycleDecomposition:
     )
 
 
+def _mu_on(branch: Branch, K: float, baths: Baths) -> float:
+    return mu(K, baths.beta(branch.kind), branch, baths.gamma)
+
+
 def _u_on(branch: Branch, K: float, baths: Baths, p: float) -> float:
-    beta = baths.beta(branch.kind)
-    return isotherm_u_of_p(p, mu(K, beta, branch, baths.gamma), beta)
+    return isotherm_u_of_p(p, _mu_on(branch, K, baths), baths.beta(branch.kind))
 
 
 def _other(branch: Branch) -> Branch:
@@ -613,23 +609,45 @@ def plan_for_deadline(
     return best
 
 
-def _x_at_times(seg: IsothermSegment, baths: Baths, local_t: np.ndarray) -> np.ndarray:
-    """Invert the time potential chi along one arc for an array of offsets."""
-    beta = baths.beta(seg.branch.kind)
-    mu_val = mu(seg.K, beta, seg.branch, baths.gamma)
-    c0 = chi(seg.x0, mu_val)
-    lo, hi = min(seg.x0, seg.x1), max(seg.x0, seg.x1)
-    out = np.empty_like(local_t)
-    for i, dt in enumerate(local_t):
-        if dt <= 0.0:
-            out[i] = seg.x0
-            continue
-        if dt >= seg.duration:
-            out[i] = seg.x1
-            continue
-        target = c0 + baths.gamma * dt
-        out[i] = brentq(lambda x: chi(x, mu_val) - target, lo, hi, xtol=1e-14)
-    return out
+# Step cap of one inversion.  Bisection alone brings the bracket below 1e-13 x
+# within 64 steps on any arc whose ends differ by less than a factor 1e6.
+_ARC_ITERS = 64
+
+
+def _chi_slope(x: float, mu_val: float) -> float:
+    """x (1 + x^2) dchi/dx; it keeps one sign along every arc."""
+    return x * x - 2.0 * x / mu_val - 1.0
+
+
+def _arc_x(seg: IsothermSegment, mu_val: float, c0: float, gamma: float, dt: float) -> float:
+    """Control x at offset dt into the arc: the root of chi(x) = c0 + gamma dt, c0 = chi(x0).
+
+    Newton's method from linear interpolation in dt, bracketed between x0
+    (where chi - target < 0) and x1 (where it is > 0); a step that would
+    leave the bracket bisects it instead.  The arc ends return x0 and x1.
+    """
+    if dt <= 0.0:
+        return seg.x0
+    if dt >= seg.duration:
+        return seg.x1
+    target = c0 + gamma * dt
+    a, b = seg.x0, seg.x1
+    x = a + (b - a) * (dt / seg.duration)
+    for _ in range(_ARC_ITERS):
+        g = chi(x, mu_val) - target
+        if g == 0.0:
+            return x
+        if g < 0.0:
+            a = x
+        else:
+            b = x
+        x_new = x - g * x * (1.0 + x * x) / _chi_slope(x, mu_val)
+        if not min(a, b) < x_new < max(a, b):
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= 1e-13 * x:
+            return x_new
+        x = x_new
+    return x
 
 
 @dataclass(frozen=True)
@@ -647,13 +665,14 @@ class PlanSamples:
 def _arc_rows(seg: IsothermSegment, baths: Baths, samples: int) -> list[tuple[float, float, float, float, float]]:
     """(local t, u, p, q, heat since arc start) on a uniform grid along one arc."""
     beta = baths.beta(seg.branch.kind)
-    mu_val = mu(seg.K, beta, seg.branch, baths.gamma)
-    local = np.linspace(0.0, seg.duration, max(samples, 2))
+    mu_val = _mu_on(seg.branch, seg.K, baths)
+    c0 = chi(seg.x0, mu_val)
     xi0 = xi(seg.x0, mu_val)
     rows = []
-    for dt, x in zip(local, _x_at_times(seg, baths, local)):
+    for dt in np.linspace(0.0, seg.duration, max(samples, 2)).tolist():
+        x = _arc_x(seg, mu_val, c0, baths.gamma, dt)
         u_val = (2.0 / beta) * math.log(x)
-        q = 0.5 * ((mu_val / beta) * (1.0 + x * x) / x - u_val)
+        q = _q_of_x(x, u_val, mu_val, beta)
         rows.append((dt, u_val, isotherm_p(x, mu_val), q, (xi(x, mu_val) - xi0) / beta))
     return rows
 
@@ -710,34 +729,22 @@ def _q_at(plan: TrajectoryPlan, jump: AdiabaticJump, u_val: float) -> float:
         branch = jump.to_branch or jump.from_branch
     if branch is None:
         return 0.0
-    beta = plan.baths.beta(branch.kind)
-    return isotherm_q_of_p(jump.p, mu(plan.K, beta, branch, plan.baths.gamma), beta)
+    return isotherm_q_of_p(jump.p, _mu_on(branch, plan.K, plan.baths), plan.baths.beta(branch.kind))
 
 
 def _arc_controls(seg: IsothermSegment, baths: Baths, t_start: float) -> tuple[Callable, Callable]:
     """Exact u(t) and du/dt callables for one arc starting at global time t_start."""
     beta = baths.beta(seg.branch.kind)
-    mu_val = mu(seg.K, beta, seg.branch, baths.gamma)
+    mu_val = _mu_on(seg.branch, seg.K, baths)
     c0 = chi(seg.x0, mu_val)
-    lo, hi = min(seg.x0, seg.x1), max(seg.x0, seg.x1)
     gamma = baths.gamma
 
-    def x_of_t(t: float) -> float:
-        dt = min(max(t - t_start, 0.0), seg.duration)
-        if dt <= 0.0:
-            return seg.x0
-        if dt >= seg.duration:
-            return seg.x1
-        target = c0 + gamma * dt
-        return brentq(lambda xx: chi(xx, mu_val) - target, lo, hi, xtol=1e-14)
-
     def u_of_t(t: float) -> float:
-        return (2.0 / beta) * math.log(x_of_t(t))
+        return (2.0 / beta) * math.log(_arc_x(seg, mu_val, c0, gamma, t - t_start))
 
     def dudt_of_t(t: float) -> float:
-        x = x_of_t(t)
-        denom = x * x - 2.0 * x / mu_val - 1.0
-        return (2.0 * gamma / beta) * (x * x + 1.0) / denom
+        x = _arc_x(seg, mu_val, c0, gamma, t - t_start)
+        return (2.0 * gamma / beta) * (x * x + 1.0) / _chi_slope(x, mu_val)
 
     return u_of_t, dudt_of_t
 

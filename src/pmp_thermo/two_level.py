@@ -163,7 +163,10 @@ def isotherm_u_of_p(p: float, mu_val: float, beta: float) -> float:
 def isotherm_q_of_p(p: float, mu_val: float, beta: float) -> float:
     """Costate scalar on the arc, from 2q + u = (mu/beta)(1 + x^2)/x."""
     x = isotherm_x_of_p(p, mu_val)
-    u = (2.0 / beta) * math.log(x)
+    return _q_of_x(x, (2.0 / beta) * math.log(x), mu_val, beta)
+
+
+def _q_of_x(x: float, u: float, mu_val: float, beta: float) -> float:
     return 0.5 * ((mu_val / beta) * (1.0 + x * x) / x - u)
 
 

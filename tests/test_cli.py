@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -148,6 +149,17 @@ class TestTrajectoryCommand:
         assert data["n_cycles"] == 1
         csv_lines = (tmp_path / "plan.csv").read_text().splitlines()
         assert csv_lines[1] == "t,u,p,q,branch,Qcum"
+
+    def test_worked_three_cycle_json_pinned(self, capsys, tmp_path):
+        # the plan JSON holds no sampled value, so changes to arc sampling leave it byte-identical
+        code, _, _ = run_cli(
+            capsys, "trajectory", "--z", "0.3", "--K", "-0.05",
+            "--p-in", "0.07", "--u-in", "1", "--p-out", "0.26", "--u-out", "6",
+            "--cycles", "3", "--out-prefix", str(tmp_path / "plan"), "--samples", "2",
+        )
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "plan.json").read_bytes()).hexdigest()
+        assert digest == "b5c886c75c755e4f155636200b73b1b5ac5005e291c65ea78d99644ca890aab1"
 
     def test_unreachable_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(

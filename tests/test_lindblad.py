@@ -1,13 +1,13 @@
 import io
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.stats import linregress
 
 from pmp_thermo.lindblad import (
-    BathSpec,
     ControlVector,
     DiagonalResetModel,
     Protocol,
@@ -16,7 +16,6 @@ from pmp_thermo.lindblad import (
     check_density_matrix,
     integrate,
     lindblad_rhs,
-    thermal_dissipator,
     write_trajectory_csv,
 )
 from pmp_thermo.two_level import COLD, Baths, mu, segment_from_populations
@@ -34,25 +33,49 @@ def random_hermitian(rng, dim=2):
     return 0.5 * (a + a.conj().T)
 
 
-class TestThermalDissipator:
+class _ClosedFormTwoLevel:
+    """The former two-level reset model, closed forms through tanh, kept as a reference."""
+
+    def __init__(self, baths):
+        self.baths = baths
+
+    def equilibrium(self, u, kind):
+        p_eq = 0.5 * (1.0 - math.tanh(0.5 * self.baths.beta(kind) * float(np.atleast_1d(u)[0])))
+        return np.diag([1.0 - p_eq, p_eq]).astype(complex)
+
+    def dissipator(self, rho, u, kind):
+        return self.equilibrium(u, kind) * np.trace(rho) - rho
+
+    def adjoint_dissipator(self, a, u, kind):
+        return np.trace(self.equilibrium(u, kind) @ a) * np.eye(2, dtype=complex) - a
+
+    def ddissipator_du(self, rho, u, kind):
+        p_eq = self.equilibrium(u, kind)[1, 1].real
+        dp = -self.baths.beta(kind) * p_eq * (1.0 - p_eq)
+        return (np.diag([-dp, dp]).astype(complex) * np.trace(rho))[np.newaxis, :, :]
+
+
+class TestTwoLevelReset:
+    """The reset model at dim 2, the only two-level implementation."""
+
+    def model(self):
+        return DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.5), 2)
+
     def test_gibbs_fixed_point(self):
-        bath = BathSpec(beta=1.0, label="cold")
         p_eq = 1.0 / (1.0 + math.exp(2.0))
         eta = np.diag([1.0 - p_eq, p_eq]).astype(complex)
-        assert np.max(np.abs(thermal_dissipator(eta, bath, 2.0))) < 1e-15
+        assert np.max(np.abs(self.model().dissipator(eta, 2.0, "cold"))) < 1e-15
 
     def test_zero_gap_from_ground(self):
-        bath = BathSpec(beta=1.0)
-        out = thermal_dissipator(np.diag([1.0, 0.0]).astype(complex), bath, 0.0)
+        out = self.model().dissipator(np.diag([1.0, 0.0]).astype(complex), 0.0, "cold")
         assert out[0, 0].real == pytest.approx(-0.5, abs=1e-15)
         assert out[1, 1].real == pytest.approx(0.5, abs=1e-15)
 
     def test_rate_toward_equilibrium(self):
         # instantaneous rate from the maximally mixed state, cross-checked by
         # integrating to the long-time limit
-        bath = BathSpec(beta=1.0)
         rho = np.diag([0.5, 0.5]).astype(complex)
-        out = thermal_dissipator(rho, bath, 2.0)
+        out = self.model().dissipator(rho, 2.0, "cold")
         expected = 1.0 / (1.0 + math.exp(2.0)) - 0.5
         assert out[1, 1].real == pytest.approx(expected, abs=1e-12)
         assert out[1, 1].real == pytest.approx(-0.3808, abs=1e-4)
@@ -64,8 +87,45 @@ class TestThermalDissipator:
         assert sol.y[0, -1] == pytest.approx(1.0 / (1.0 + math.exp(2.0)), abs=1e-10)
 
     def test_nonfinite_gap_rejected(self):
-        with pytest.raises(ValueError):
-            thermal_dissipator(np.eye(2, dtype=complex) / 2, BathSpec(beta=1.0), math.inf)
+        # 1e308 is finite, but beta_c * u overflows at beta_c = 2
+        model = DiagonalResetModel(Baths(beta_c=2.0, beta_h=0.5), 2)
+        for u in (math.inf, -math.inf, math.nan, 1e308):
+            with pytest.raises(ValueError, match="non-finite"):
+                model.dissipator(np.eye(2, dtype=complex) / 2, u, "cold")
+
+    @pytest.mark.parametrize("beta_u", [-800.0, -40.0, 0.0, 11.0, 40.0, 700.0, 800.0])
+    @pytest.mark.parametrize("kind", ["cold", "hot"])
+    @pytest.mark.parametrize("two_level", [True, False])
+    def test_equilibrium_matches_mpmath(self, beta_u, kind, two_level):
+        # both populations to 1e-15 relative, down to the smallest double; 0.5 (1 - tanh(beta u / 2))
+        # was 1.5e-12 off at beta u = 11 and gave 0 for 4.25e-18 at beta u = 40, and
+        # unshifted weights overflow at |beta u| = 800
+        model = TwoLevelResetModel(self.model().baths) if two_level else self.model()
+        eta = model.equilibrium(beta_u / model.baths.beta(kind), kind)
+        with mp.workdps(40):
+            excited = 1 / (1 + mp.exp(beta_u))
+            ref = [1 - excited, excited]
+            for got, want in zip(eta.diagonal(), ref):
+                assert got.imag == 0.0
+                assert abs(mp.mpf(got.real) - want) <= 1e-15 * want + 2.0**-1074
+
+    def test_matches_closed_forms(self, rng):
+        baths = Baths(beta_c=1.0, beta_h=0.3)
+        model, ref = TwoLevelResetModel(baths), _ClosedFormTwoLevel(baths)
+        for _ in range(20):
+            u = np.array([float(rng.uniform(-8.0, 12.0))])
+            rho, a = random_density(rng), random_hermitian(rng)
+            for kind in ("cold", "hot"):
+                for got, want in (
+                    (model.equilibrium(u, kind), ref.equilibrium(u, kind)),
+                    (model.dissipator(rho, u, kind), ref.dissipator(rho, u, kind)),
+                    (model.adjoint_dissipator(a, u, kind), ref.adjoint_dissipator(a, u, kind)),
+                    (model.ddissipator_du(rho, u, kind), ref.ddissipator_du(rho, u, kind)),
+                ):
+                    # two ulps of the largest entry: each form rounds on its own
+                    scale = max(1.0, float(np.max(np.abs(want))))
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps * scale
 
 
 class TestLindbladRhs:

@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -27,9 +28,12 @@ from pmp_thermo.two_level import (
     COLD,
     HOT,
     Baths,
+    chi,
     find_jump_points,
+    isotherm_p,
     isotherm_u_of_p,
     mu,
+    segment_from_populations,
     solve_engine,
 )
 
@@ -396,3 +400,80 @@ class TestSamplingAndExport:
         lines = buf1.getvalue().splitlines()
         assert lines[0].startswith("# units:")
         assert lines[1] == "t,u,p,q,branch,Qcum"
+
+
+def _chi_mp(x, mu_val):
+    x, mu_val = mp.mpf(x), mp.mpf(mu_val)
+    return -(2 / mu_val) * mp.atan(x) + mp.log((x * x + 1) / x)
+
+
+def _kernel_arcs(z, k_frac):
+    """Arcs between the switch populations, and arcs reaching x = 1 (u -> 0) and the
+    hot edge x = 1/mu_h (p -> 0)."""
+    baths = Baths.from_ratio(z)
+    K = k_frac * solve_engine(z).K_star
+    p1, p2 = find_jump_points(K, baths)
+    p_x1_cold = isotherm_p(1.0 + 1e-9, mu(K, baths.beta_c, COLD))
+    p_x1_hot = isotherm_p(1.0 + 1e-9, mu(K, baths.beta_h, HOT))
+    segs = [
+        segment_from_populations(HOT, K, baths, p1, p2),
+        segment_from_populations(COLD, K, baths, p2, p1),
+        segment_from_populations(HOT, K, baths, 1e-9, p_x1_hot),
+        segment_from_populations(COLD, K, baths, p_x1_cold, 1e-3),
+    ]
+    return baths, segs
+
+
+class TestArcKernel:
+    @pytest.mark.parametrize("z", [0.1, 0.3, 0.9])
+    @pytest.mark.parametrize("k_frac", [0.99, 0.5, 1e-3])
+    def test_inversion_against_mpmath(self, z, k_frac):
+        # No inversion of chi in doubles beats the rounding of chi itself: an
+        # error of eps |chi terms| in chi moves x by that over |x chi'(x)|.  That
+        # bound passes 4e-15 relative far from the hot edge and at small |K|;
+        # brentq with xtol = 1e-14 reached 3.1 times it on these arcs, Newton 0.92.
+        eps = np.finfo(float).eps
+        baths, segs = _kernel_arcs(z, k_frac)
+        for seg in segs:
+            mu_val = mu(seg.K, baths.beta(seg.branch.kind), seg.branch, baths.gamma)
+            c0 = chi(seg.x0, mu_val)
+            offsets = [seg.duration * f for f in (1e-12, 1e-6, *np.linspace(0.0, 1.0, 23)[1:-1], 1 - 1e-6, 1 - 1e-12)]
+            with mp.workdps(40):
+                chi0 = _chi_mp(seg.x0, mu_val)
+                for dt in offsets:
+                    x = planner._arc_x(seg, mu_val, c0, baths.gamma, dt)
+                    target = chi0 + mp.mpf(baths.gamma) * mp.mpf(dt)
+                    ref = mp.findroot(lambda xx: _chi_mp(xx, mu_val) - target, mp.mpf(x))
+                    terms = abs(2 * math.atan(x) / mu_val) + abs(math.log((x * x + 1) / x)) + abs(c0)
+                    slope = abs(planner._chi_slope(x, mu_val)) / (1.0 + x * x)
+                    err = float(abs((x - ref) / ref))
+                    assert err <= max(4e-15, 2 * eps * terms / slope), (seg, dt, err)
+
+    @pytest.mark.parametrize("z", [0.1, 0.9])
+    def test_exact_ends_and_monotone(self, z):
+        baths, segs = _kernel_arcs(z, 0.5)
+        for seg in segs:
+            mu_val = mu(seg.K, baths.beta(seg.branch.kind), seg.branch, baths.gamma)
+            c0 = chi(seg.x0, mu_val)
+            x_of = lambda dt: planner._arc_x(seg, mu_val, c0, baths.gamma, dt)
+            assert x_of(0.0) == seg.x0 and x_of(-1.0) == seg.x0
+            assert x_of(seg.duration) == seg.x1 and x_of(2.0 * seg.duration) == seg.x1
+            xs = np.array([x_of(dt) for dt in np.linspace(0.0, seg.duration, 2001)])
+            steps = np.diff(xs) if seg.is_cold else -np.diff(xs)  # x rises on cold arcs, falls on hot
+            assert np.all(steps >= 0.0)
+
+    def test_sampling_and_simulation_need_no_brentq(self, baths03, monkeypatch):
+        # one arc inversion serves all four paths; brentq is left to plan_for_deadline
+        plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("brentq called while sampling or simulating a plan")
+
+        monkeypatch.setattr(planner, "brentq", forbidden)
+        samples = sample_plan(plan, samples_per_segment=50)
+        assert samples.q_cum[-1] == pytest.approx(plan.total_heat, abs=1e-10)
+        assert len(planner.plan_nodes(plan, samples_per_segment=20)) == 20 * len(plan.arcs)
+        assert validate_plan(plan, samples_per_segment=20)["max_conservation"] < 1e-9
+        rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
+        res = integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths03))
+        assert res.ledger.heat_released == pytest.approx(plan.total_heat, rel=1e-6)

@@ -1,4 +1,4 @@
-"""Property tests of the engine, switch-point and deadline solvers and the brute-force oracle.
+"""Property tests of the engine, switch-point and deadline solvers, the plans and the brute-force oracle.
 
 z spans 1e-4 ... 0.9999 and beta_c, gamma span 1e-3 ... 1e3 (log-uniform).
 Runs are derandomized, so the drawn cases repeat from run to run.
@@ -17,7 +17,8 @@ from pmp_thermo.bruteforce import (
     simulate_bang_protocol,
     single_switch_patterns,
 )
-from pmp_thermo.planner import build_trajectory, plan_for_deadline
+from pmp_thermo.lindblad import TwoLevelResetModel, integrate
+from pmp_thermo.planner import build_trajectory, plan_for_deadline, plan_to_protocol, validate_plan
 from pmp_thermo.two_level import Baths, adiabatic_f, engine_residuals, find_jump_points, solve_engine
 
 ratios = st.floats(min_value=1e-4, max_value=0.9999)
@@ -116,3 +117,30 @@ def test_oracle_never_beats_plan(z, k_frac, p_in, u_in, p_out, u_out):
     p_final, heat = simulate_bang_protocol(p_in, res.protocol, baths)
     assert abs(heat - res.q_best) <= 1e-12
     assert abs(p_final - res.p_final) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    z=st.floats(min_value=0.1, max_value=0.9),
+    k_frac=st.floats(min_value=0.3, max_value=0.9),
+    p_in=st.floats(min_value=0.06, max_value=0.07),
+    u_in=st.floats(min_value=0.5, max_value=1.5),
+    p_out=st.floats(min_value=0.25, max_value=0.27),
+    u_out=st.floats(min_value=5.0, max_value=7.0),
+    n_cycles=st.integers(min_value=0, max_value=2),
+)
+def test_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles):
+    # endpoints around the worked instance; the master equation along the plan
+    # reproduces its heat and endpoint, and the sampled nodes meet the PMP conditions
+    baths = Baths.from_ratio(z)
+    plan = build_trajectory(p_in, u_in, p_out, u_out, k_frac * solve_engine(z).K_star, n_cycles, baths)
+    rho0 = np.diag([1.0 - p_in, p_in]).astype(complex)
+    res = integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths))
+    assert abs(res.ledger.heat_released - plan.total_heat) <= 1e-6 * abs(plan.total_heat)
+    assert abs(res.ledger.first_law_residual) <= 1e-8
+    assert abs(res.final_state[1, 1].real - p_out) <= 1e-8
+    report = validate_plan(plan)
+    assert report["max_dp"] < 1e-12
+    assert report["max_dq"] < 1e-9
+    assert report["max_conservation"] < 1e-9
+    assert report["max_bang_bang_violation"] <= 1e-12
