@@ -52,7 +52,11 @@ class TraceDriftError(IntegrationError):
 
 @dataclass(frozen=True)
 class ControlVector:
-    """Instantaneous controls: Hamiltonian parameters and the two damping rates."""
+    """Instantaneous controls: Hamiltonian parameters and the two damping rates.
+
+    u may carry a leading stack axis, (n, n_controls), for a stack of states
+    under one pair of rates.
+    """
 
     u: np.ndarray
     gamma_c: float
@@ -109,10 +113,13 @@ def check_density_matrix(
         raise ValueError(f"negative eigenvalue {evals.min():.3e}")
 
 
-def _trace(m: np.ndarray) -> complex:
-    # np.trace costs a few microseconds on a 2x2 matrix, and the integrator takes
-    # a trace in every right-hand-side evaluation
-    return sum(m.diagonal().tolist())
+def _trace(m: np.ndarray) -> complex | np.ndarray:
+    """Trace of one matrix, or the traces of a stack indexed like m.T[i, i]."""
+    # np.trace costs a few microseconds on one 2x2 matrix, and the integrator takes
+    # traces in every right-hand-side evaluation
+    if m.ndim == 2:
+        return sum(m.diagonal().tolist())
+    return np.trace(m.T)
 
 
 class DiagonalResetModel:
@@ -121,6 +128,13 @@ class DiagonalResetModel:
     Level 0 is pinned at zero energy; the control vector holds the energies of
     levels 1..n-1.  Beyond two levels this is an artifact generalization used
     for cross-checks, not a physical claim.
+
+    Every method also takes a stack: controls of shape (..., n_controls) and
+    matrices of shape (..., dim, dim), broadcast over the leading axes.  The
+    methods loop over levels only, through m.T[i, i] and u.T[k], which index
+    one entry of one state or that entry across a stack (with its leading axes
+    reversed).  So one state costs a few float operations per level, and a
+    stack one array operation per level.
     """
 
     def __init__(self, baths: Baths, dim: int):
@@ -135,36 +149,58 @@ class DiagonalResetModel:
         self._dh_du.flags.writeable = False
 
     def _controls(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float).ravel()
-        if u.size != self.n_controls:
-            raise ValueError(f"expected {self.n_controls} controls, got {u.size}")
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0:
+            u = u.reshape(1)
+        if u.shape[-1] != self.n_controls:
+            raise ValueError(f"expected {self.n_controls} controls, got {u.shape[-1]}")
         return u
 
-    def _gibbs(self, u: np.ndarray, kind: str) -> list[float]:
-        """Populations exp(beta (E_min - E_i)) / sum: no overflow, and tiny ones
-        keep their relative accuracy."""
+    def _gibbs(self, u: np.ndarray, kind: str) -> list[float] | np.ndarray:
+        """Populations exp(beta (E_min - E_i)) / sum, indexed by level first: no
+        overflow, and tiny ones keep their relative accuracy.
+
+        One state gives a list of floats, which costs a quarter of the array
+        passes; a stack gives an array indexed like u.T.
+        """
         beta = self.baths.beta(kind)
-        scaled = [0.0] + [beta * e for e in self._controls(u).tolist()]
-        for a in scaled:
-            if not math.isfinite(a):
-                raise ValueError(f"non-finite beta*u = {a}")
-        low = min(scaled)
-        weights = [math.exp(low - a) for a in scaled]
-        total = sum(weights)
-        return [w / total for w in weights]
+        u = self._controls(u)
+        if u.ndim == 1:
+            scaled = [0.0] + [beta * e for e in u.tolist()]
+            for a in scaled:
+                if not math.isfinite(a):
+                    raise ValueError(f"non-finite beta*u = {a}")
+            low = min(scaled)
+            weights = [math.exp(low - a) for a in scaled]
+            total = sum(weights)
+            return [w / total for w in weights]
+        # a float product, so that an overflowing beta*u raises here without a numpy warning
+        if not math.isfinite(beta * float(np.abs(u).max())):
+            bad = next(a for a in (beta * e for e in u.ravel().tolist()) if not math.isfinite(a))
+            raise ValueError(f"non-finite beta*u = {bad}")
+        scaled = np.zeros((self.dim,) + u.T.shape[1:])
+        np.multiply(beta, u.T, out=scaled[1:])
+        shifted = scaled.min(axis=0) - scaled
+        # math.exp, as for one state: np.exp rounds about 5 % of arguments differently,
+        # and each state of a stack must get the bits it gets alone
+        weights = np.array([math.exp(a) for a in shifted.ravel().tolist()]).reshape(shifted.shape)
+        return weights / weights.sum(axis=0)
 
     def hamiltonian(self, u: np.ndarray) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, e in enumerate(self._controls(u).tolist(), 1):
-            h[k, k] = e
+        u = self._controls(u)
+        h = np.zeros(u.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        for k in range(self.n_controls):
+            h.T[k + 1, k + 1] = u.T[k]
         return h
 
     def dh_du(self, u: np.ndarray) -> np.ndarray:
         return self._dh_du
 
     def equilibrium(self, u: np.ndarray, kind: str) -> np.ndarray:
-        eta = np.zeros((self.dim, self.dim), dtype=complex)
-        eta.flat[:: self.dim + 1] = self._gibbs(u, kind)
+        u = self._controls(u)
+        eta = np.zeros(u.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        for i, p in enumerate(self._gibbs(u, kind)):
+            eta.T[i, i] = p
         return eta
 
     def dissipator(self, rho: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
@@ -172,28 +208,32 @@ class DiagonalResetModel:
         rho = np.asarray(rho, dtype=complex)
         tr = _trace(rho)
         out = -rho
+        diag = out.T
         for i, p in enumerate(self._gibbs(u, kind)):
-            out[i, i] += p * tr
+            diag[i, i] += p * tr
         return out
 
     def adjoint_dissipator(self, a: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
         """tr(eta a) 1 - a."""
         a = np.asarray(a, dtype=complex)
-        mean = sum(p * d for p, d in zip(self._gibbs(u, kind), a.diagonal().tolist()))
+        mean = sum(p * a.T[i, i] for i, p in enumerate(self._gibbs(u, kind)))
         out = -a
+        diag = out.T
         for i in range(self.dim):
-            out[i, i] += mean
+            diag[i, i] += mean
         return out
 
     def ddissipator_du(self, rho: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
+        """d D[rho] / d u_k, of shape (..., n_controls, dim, dim)."""
         beta = self.baths.beta(kind)
+        u = self._controls(u)
         pops = self._gibbs(u, kind)
         tr = _trace(np.asarray(rho, dtype=complex))
-        out = np.zeros((self.n_controls, self.dim, self.dim), dtype=complex)
+        out = np.zeros(u.shape[:-1] + (self.n_controls, self.dim, self.dim), dtype=complex)
         for k in range(self.n_controls):
             # d eta_i / d eps_k = beta * eta_i * (eta_k - delta_ik)
             for i, p in enumerate(pops):
-                out[k, i, i] = beta * p * (pops[k + 1] - (i == k + 1)) * tr
+                out.T[i, i, k] = beta * p * (pops[k + 1] - (i == k + 1)) * tr
         return out
 
 
@@ -205,9 +245,13 @@ class TwoLevelResetModel(DiagonalResetModel):
 
 
 def lindblad_rhs(rho: np.ndarray, control: ControlVector, model) -> np.ndarray:
-    """Full generator action: -i[H_u, rho] + gamma_c D_c[rho] + gamma_h D_h[rho]."""
+    """Full generator action: -i[H_u, rho] + gamma_c D_c[rho] + gamma_h D_h[rho].
+
+    A stack of states (..., dim, dim) with controls (..., n_controls) gives the
+    stack of actions.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (model.dim, model.dim):
+    if rho.shape[-2:] != (model.dim, model.dim):
         raise ValueError(f"state shape {rho.shape} does not match model dim {model.dim}")
     h = model.hamiltonian(control.u)
     out = -1j * (h @ rho - rho @ h)
@@ -354,12 +398,10 @@ def integrate(
             u_t = piece.u_at(t)
             ctrl = ControlVector(u=u_t, gamma_c=piece.gamma_c, gamma_h=piece.gamma_h)
             ldot = lindblad_rhs(rho_t, ctrl, model)
-            h_t = model.hamiltonian(u_t)
-            dq = -float(np.trace(h_t @ ldot).real)
-            dudt = piece.dudt_at(t, t_lo, t_hi)
+            dq = -_trace(model.hamiltonian(u_t) @ ldot).real
             dh = model.dh_du(u_t)
-            dh_dt = np.tensordot(dudt, dh, axes=(0, 0))
-            dw = -float(np.trace(rho_t @ dh_dt).real)
+            dudt = piece.dudt_at(t, t_lo, t_hi).tolist()
+            dw = -sum(v * _trace(rho_t @ dh[k]) for k, v in enumerate(dudt)).real
             flat = ldot.reshape(-1)
             return np.concatenate([flat.real, flat.imag, [dq, dw]])
 

@@ -5,17 +5,20 @@ under the adjoint generator with a gauge multiplier keeping it traceless, the
 pseudo-Hamiltonian is stationary under the gap control, and its value is a
 constant K.  This module evaluates all three on sampled trajectories and
 implements the bang-bang bath selector.
+
+The pseudo-Hamiltonian, the switching function, the stationarity residual and
+the generator also take stacks: states and costates of shape (..., dim, dim)
+with controls of shape (..., n_controls) are evaluated in one array pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .lindblad import ControlVector, lindblad_rhs
+from .lindblad import ControlVector, TwoLevelResetModel, lindblad_rhs
 from .two_level import Baths
 
 __all__ = [
@@ -45,7 +48,20 @@ def costate_matrix(q: float) -> np.ndarray:
     return np.diag([q, -q]).astype(complex)
 
 
-def pseudo_hamiltonian(rho: np.ndarray, pi: np.ndarray, control: ControlVector, model, lam: float = 0.0) -> float:
+def _trace(m: np.ndarray) -> np.ndarray:
+    """Trace over the last two axes, of one matrix or of each matrix of a stack."""
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _real(value: np.ndarray) -> float | np.ndarray:
+    """Real part: a float for one state, an array for a stack."""
+    value = np.real(value)
+    return float(value) if value.ndim == 0 else value
+
+
+def pseudo_hamiltonian(
+    rho: np.ndarray, pi: np.ndarray, control: ControlVector, model, lam: float = 0.0
+) -> float | np.ndarray:
     """<(pi - H_u) L_u[rho]> + lam * (tr rho - 1); the conserved scalar on optimal arcs."""
     rho = np.asarray(rho, dtype=complex)
     pi = np.asarray(pi, dtype=complex)
@@ -53,8 +69,7 @@ def pseudo_hamiltonian(rho: np.ndarray, pi: np.ndarray, control: ControlVector, 
         raise ValueError(f"costate shape {pi.shape} does not match state shape {rho.shape}")
     h = model.hamiltonian(control.u)
     ldot = lindblad_rhs(rho, control, model)
-    value = np.trace((pi - h) @ ldot) + lam * (np.trace(rho) - 1.0)
-    return float(value.real)
+    return _real(_trace((pi - h) @ ldot) + lam * (_trace(rho) - 1.0))
 
 
 def adjoint_generator(a: np.ndarray, control: ControlVector, model) -> np.ndarray:
@@ -108,25 +123,25 @@ def q_min_formula(pi0: np.ndarray, rho0: np.ndarray, pi_tau: np.ndarray, rho_tau
     return a - b - lambda_integral
 
 
-def switching_functional(rho: np.ndarray, pi: np.ndarray, u: np.ndarray | float, model) -> float:
+def switching_functional(rho: np.ndarray, pi: np.ndarray, u: np.ndarray | float, model) -> float | np.ndarray:
     """Bang-bang selector: A = <(pi - H_u)(D_h - D_c)[rho]>."""
     rho = np.asarray(rho, dtype=complex)
     pi = np.asarray(pi, dtype=complex)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     h = model.hamiltonian(u)
     diff = model.dissipator(rho, u, "hot") - model.dissipator(rho, u, "cold")
-    return float(np.trace((pi - h) @ diff).real)
+    return _real(_trace((pi - h) @ diff))
 
 
 def switching_functional_scalar(p: float, q: float, u: float, baths: Baths) -> float:
     """Two-level closed form of the selector, (2q+u) [n_c(u) - n_h(u)].
 
-    n_b(u) = 1/(1 + e^{beta_b u}) is the excited Gibbs weight, so this equals
-    (2q+u)(e^{beta_h u} - e^{beta_c u}) / [(e^{beta_c u}+1)(e^{beta_h u}+1)]
-    in a form that stays finite for large gaps.
+    n_b(u) = 1/(1 + e^{beta_b u}) is the excited Gibbs weight, taken from the
+    reset model's shifted exponentials, so each weight keeps its relative
+    accuracy and the selector its sign at any finite gap.
     """
-    n_c = 0.5 * (1.0 - math.tanh(0.5 * baths.beta_c * u))
-    n_h = 0.5 * (1.0 - math.tanh(0.5 * baths.beta_h * u))
+    model = TwoLevelResetModel(baths)
+    n_c, n_h = (float(model.equilibrium(u, kind)[1, 1].real) for kind in ("cold", "hot"))
     return (2.0 * q + u) * (n_c - n_h)
 
 
@@ -161,9 +176,13 @@ def select_bath(a: float, current: str = "cold", gamma: float = 1.0, tie_tol: fl
 
 @dataclass(frozen=True)
 class TrajectoryNode:
-    """One sample of a candidate optimal trajectory."""
+    """One sample of a candidate optimal trajectory.
 
-    t: float
+    `stationarity_residual` also takes a node whose rho, pi and control.u carry
+    a leading sample axis, with one pair of damping rates for all samples.
+    """
+
+    t: float | np.ndarray
     rho: np.ndarray
     pi: np.ndarray
     control: ControlVector
@@ -204,22 +223,26 @@ def stationarity_residual(node: TrajectoryNode, model) -> float:
     """Gap-control stationarity: max_k |<(pi-H) d_k L[rho]> - <L[rho] d_k H>|.
 
     Only the Hamiltonian controls enter; the damping rates are handled by the
-    bang-bang selector rather than a stationarity condition.
+    bang-bang selector rather than a stationarity condition.  On a stacked
+    node the maximum also runs over the samples.
     """
     rho, pi, ctrl = node.rho, node.pi, node.control
     h = model.hamiltonian(ctrl.u)
     dh = model.dh_du(ctrl.u)
     ldot = lindblad_rhs(rho, ctrl, model)
+    ddiss = [
+        rate * model.ddissipator_du(rho, ctrl.u, kind)
+        for kind, rate in (("cold", ctrl.gamma_c), ("hot", ctrl.gamma_h))
+        if rate > 0.0
+    ]
     worst = 0.0
     for k in range(model.n_controls):
         dl = -1j * (dh[k] @ rho - rho @ dh[k])
-        if ctrl.gamma_c > 0.0:
-            dl = dl + ctrl.gamma_c * model.ddissipator_du(rho, ctrl.u, "cold")[k]
-        if ctrl.gamma_h > 0.0:
-            dl = dl + ctrl.gamma_h * model.ddissipator_du(rho, ctrl.u, "hot")[k]
-        lhs = np.trace((pi - h) @ dl).real
-        rhs = np.trace(ldot @ dh[k]).real
-        worst = max(worst, abs(float(lhs - rhs)))
+        for d in ddiss:
+            dl = dl + d[..., k, :, :]
+        lhs = _trace((pi - h) @ dl).real
+        rhs = _trace(ldot @ dh[k]).real
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 

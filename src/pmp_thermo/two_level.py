@@ -321,6 +321,12 @@ def find_jump_points(K: float, baths: Baths, xtol: float = 1e-15) -> tuple[float
     log p.  Raises NoJumpPoints when the switch condition has no zero (K
     below the root-merging threshold).  At the threshold itself both values
     coincide.
+
+    The lower root shrinks like |K| and is searched for no lower than
+    p = 1e-250.  Closer to the quasi-static limit than that (at beta_c =
+    gamma = 1, |K| below about 5.6e-246 at z = 0.01, 1.3e-247 at z = 0.3 and
+    1.8e-250 at z = 0.99) this raises ValueError, which the CLI reports as a
+    usage error (exit 2).
     """
     fmin, pm = adiabatic_f_min(K, baths)
     if fmin > _TANGENT_FTOL:

@@ -184,6 +184,17 @@ class TestTrajectoryCommand:
         assert data["K"] == -1e-5
         assert out.startswith("plan: ")
 
+    def test_rate_below_search_floor_usage_error(self, capsys, tmp_path):
+        # find_jump_points raises ValueError once the lower switch population
+        # would lie under 1e-250
+        code, _, err = run_cli(
+            capsys, "trajectory", "--z", "0.3", "--K", "-1e-260",
+            "--p-in", "0.07", "--u-in", "1", "--p-out", "0.26", "--u-out", "6",
+            "--out-prefix", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "too close to 0" in err
+
     def test_deadline_mode(self, capsys, tmp_path):
         prefix = tmp_path / "dl"
         code, out, _ = run_cli(

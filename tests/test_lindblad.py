@@ -128,6 +128,83 @@ class TestTwoLevelReset:
                     assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps * scale
 
 
+class TestStackedModel:
+    """A leading stack axis gives, state by state, the bits of single-state calls."""
+
+    @staticmethod
+    def stack(rng, dim, n=16):
+        u = rng.uniform(-8.0, 12.0, size=(n, dim - 1))
+        u[0] = 0.0  # degenerate levels
+        u[1, 0] = 700.0  # a level whose Gibbs weight is near the smallest double
+        rho = np.array([random_density(rng, dim) for _ in range(n)])
+        a = np.array([random_hermitian(rng, dim) for _ in range(n)])
+        return u, rho, a
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["cold", "hot"])
+    def test_methods_match_single_states(self, rng, dim, kind):
+        model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
+        u, rho, a = self.stack(rng, dim)
+        stacked = {
+            "hamiltonian": model.hamiltonian(u),
+            "equilibrium": model.equilibrium(u, kind),
+            "dissipator": model.dissipator(rho, u, kind),
+            "adjoint_dissipator": model.adjoint_dissipator(a, u, kind),
+            "ddissipator_du": model.ddissipator_du(rho, u, kind),
+        }
+        assert stacked["ddissipator_du"].shape == (len(u), dim - 1, dim, dim)
+        for j in range(len(u)):
+            single = {
+                "hamiltonian": model.hamiltonian(u[j]),
+                "equilibrium": model.equilibrium(u[j], kind),
+                "dissipator": model.dissipator(rho[j], u[j], kind),
+                "adjoint_dissipator": model.adjoint_dissipator(a[j], u[j], kind),
+                "ddissipator_du": model.ddissipator_du(rho[j], u[j], kind),
+            }
+            for name, want in single.items():
+                assert np.array_equal(stacked[name][j], want), (name, j)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_generator_matches_single_states(self, rng, dim):
+        model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
+        u, rho, _ = self.stack(rng, dim)
+        for gamma_c, gamma_h in ((1.0, 0.0), (0.0, 2.0), (0.6, 0.4)):
+            out = lindblad_rhs(rho, ControlVector(u=u, gamma_c=gamma_c, gamma_h=gamma_h), model)
+            for j in range(len(u)):
+                want = lindblad_rhs(rho[j], ControlVector(u=u[j], gamma_c=gamma_c, gamma_h=gamma_h), model)
+                assert np.array_equal(out[j], want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gap_derivative_matches_finite_difference(self, rng, dim):
+        # d D[rho] / d u_k against a central difference, control by control
+        model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
+        u, rho, _ = self.stack(rng, dim, n=6)
+        u = u[2:]  # gaps away from the degenerate and the 700 rows
+        rho = rho[2:]
+        h = 1e-6
+        got = model.ddissipator_du(rho, u, "cold")
+        for k in range(dim - 1):
+            step = np.zeros(dim - 1)
+            step[k] = h
+            fd = (model.dissipator(rho, u + step, "cold") - model.dissipator(rho, u - step, "cold")) / (2 * h)
+            assert np.max(np.abs(got[:, k] - fd)) < 1e-8
+
+    def test_two_leading_axes(self, rng):
+        model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), 3)
+        u, rho, _ = self.stack(rng, 3, n=12)
+        flat = model.dissipator(rho, u, "hot")
+        grid = model.dissipator(rho.reshape(3, 4, 3, 3), u.reshape(3, 4, 2), "hot")
+        assert np.array_equal(grid.reshape(12, 3, 3), flat)
+
+    def test_nonfinite_gap_in_stack_rejected(self):
+        model = DiagonalResetModel(Baths(beta_c=2.0, beta_h=0.5), 2)
+        rho = np.array([np.eye(2, dtype=complex) / 2] * 3)
+        for bad in (math.inf, -math.inf, math.nan, 1e308):
+            u = np.array([[1.0], [bad], [2.0]])
+            with pytest.raises(ValueError, match="non-finite"):
+                model.dissipator(rho, u, "cold")
+
+
 class TestLindbladRhs:
     def test_gibbs_fixed_point_single_bath(self, baths03):
         model = TwoLevelResetModel(baths03)

@@ -5,10 +5,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from pmp_thermo import planner
+from pmp_thermo import planner, pmp
 from pmp_thermo.lindblad import TwoLevelResetModel, integrate
 from pmp_thermo.planner import (
     DeadlineInfeasible,
@@ -477,3 +479,82 @@ class TestArcKernel:
         rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
         res = integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths03))
         assert res.ledger.heat_released == pytest.approx(plan.total_heat, rel=1e-6)
+
+
+def _reference_validate(plan, samples_per_segment=200):
+    """The per-node loop validate_plan ran before it stacked each distinct arc."""
+    model = TwoLevelResetModel(plan.baths)
+    dp, dq = plan.continuity_errors()
+    worst_sign = 0.0
+    nodes = planner.plan_nodes(plan, samples_per_segment)
+    cons = pmp.conserved_k_residual(nodes, plan.K, model)
+    stat = max((pmp.stationarity_residual(n, model) for n in nodes), default=0.0)
+    for node in nodes:
+        a = pmp.switching_functional(node.rho, node.pi, node.control.u, model)
+        on_cold = node.control.gamma_c > 0.0
+        violation = max(0.0, -a) if on_cold else max(0.0, a)
+        worst_sign = max(worst_sign, violation)
+    return {
+        "max_dp": dp,
+        "max_dq": dq,
+        "max_conservation": cons,
+        "max_stationarity": stat,
+        "max_bang_bang_violation": worst_sign,
+        "nodes": len(nodes),
+    }
+
+
+class TestStackedValidation:
+    @pytest.mark.parametrize("n_cycles", [0, 1, 2, 3])
+    def test_matches_per_node_loop(self, baths03, n_cycles):
+        plan = build_trajectory(*ENDPOINTS.values(), K_REF, n_cycles, baths03)
+        report = validate_plan(plan)
+        assert report == _reference_validate(plan)
+        assert report["nodes"] == 200 * len(plan.arcs)
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(
+        z=st.floats(min_value=0.1, max_value=0.9),
+        k_frac=st.floats(min_value=0.3, max_value=0.9),
+        p_in=st.floats(min_value=0.06, max_value=0.07),
+        u_in=st.floats(min_value=0.5, max_value=1.5),
+        p_out=st.floats(min_value=0.25, max_value=0.27),
+        u_out=st.floats(min_value=5.0, max_value=7.0),
+        n_cycles=st.integers(min_value=0, max_value=2),
+        samples=st.integers(min_value=2, max_value=60),
+    )
+    def test_matches_per_node_loop_on_property_domain(self, z, k_frac, p_in, u_in, p_out, u_out, n_cycles, samples):
+        baths = Baths.from_ratio(z)
+        plan = build_trajectory(p_in, u_in, p_out, u_out, k_frac * solve_engine(z).K_star, n_cycles, baths)
+        assert validate_plan(plan, samples) == _reference_validate(plan, samples)
+
+    def test_one_stack_per_distinct_arc(self, baths03, monkeypatch):
+        # repeated cycles share their arcs, and a residual does not depend on t
+        plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
+        seen = []
+        check = pmp.stationarity_residual
+        monkeypatch.setattr(pmp, "stationarity_residual", lambda node, model: seen.append(node) or check(node, model))
+        validate_plan(plan, samples_per_segment=20)
+        assert len(seen) == len(set(plan.arcs)) < len(plan.arcs)
+        assert all(node.rho.shape == (20, 2, 2) for node in seen)
+
+
+def test_integrate_inverts_each_time_once(baths03, worked_plan, monkeypatch):
+    # the right-hand side asks u(t) and du/dt at the same t; both share one
+    # inversion.  Arc ends return x0 or x1 without iterating, and the
+    # integrator asks for them more than once (quench work, output samples),
+    # so only interior times count.
+    inverted = []
+    arc_x = planner._arc_x
+
+    def spy(seg, mu_val, c0, gamma, dt):
+        if 0.0 < dt < seg.duration:
+            inverted.append((seg, dt))
+        return arc_x(seg, mu_val, c0, gamma, dt)
+
+    monkeypatch.setattr(planner, "_arc_x", spy)
+    rho0 = np.diag([1.0 - worked_plan.p_in, worked_plan.p_in]).astype(complex)
+    res = integrate(rho0, plan_to_protocol(worked_plan), TwoLevelResetModel(baths03))
+    assert res.ledger.heat_released == pytest.approx(worked_plan.total_heat, rel=1e-6)
+    assert len(inverted) > 100
+    assert len(inverted) == len(set(inverted))

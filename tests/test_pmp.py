@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -16,6 +17,7 @@ from pmp_thermo.pmp import (
     pseudo_hamiltonian,
     q_min_formula,
     select_bath,
+    stationarity_residual,
     switching_functional,
     switching_functional_scalar,
 )
@@ -271,6 +273,22 @@ class TestSwitchingFunctional:
             a_scalar = switching_functional_scalar(p, q, u_val, baths03)
             assert a_matrix == pytest.approx(a_scalar, abs=1e-13)
 
+    @pytest.mark.parametrize("u_val", [0.0, 11.0, 40.0, 80.0, 700.0])
+    def test_closed_form_against_mpmath(self, u_val):
+        # 0.5 (1 - tanh(beta u / 2)) was 1.1e-8 relative off at u = 40 and gave 0
+        # instead of -3.4e-16 at u = 80, losing the bang-bang sign
+        baths = Baths(beta_c=1.0, beta_h=0.5)
+        p, q = 0.1, 0.3
+        got = switching_functional_scalar(p, q, u_val, baths)
+        with mp.workdps(40):
+            n = lambda beta: 1 / (1 + mp.exp(mp.mpf(beta) * u_val))
+            want = (2 * mp.mpf(q) + u_val) * (n(baths.beta_c) - n(baths.beta_h))
+        if u_val == 0.0:
+            assert got == 0.0
+        else:
+            assert got < 0.0
+            assert abs(got - want) <= 1e-14 * abs(want)
+
     def test_sign_set_by_costate_combination(self, baths03):
         # at u = 1: 2q + u < 0 admits the cold bath (A > 0) and vice versa
         model = TwoLevelResetModel(baths03)
@@ -287,6 +305,40 @@ class TestSwitchingFunctional:
         assert (choice.label, choice.gamma_c, choice.gamma_h) == ("hot", 0.0, 2.0)
         assert select_bath(0.0, current="hot").label == "hot"
         assert select_bath(0.0, current="cold").label == "cold"
+
+
+class TestStackedResiduals:
+    """Stacked states give, sample by sample, the values of single-state calls."""
+
+    @pytest.mark.parametrize("gammas", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)])
+    def test_match_single_states(self, baths03, rng, gammas):
+        model = TwoLevelResetModel(baths03)
+        n = 24
+        p = rng.uniform(0.0, 1.0, n)
+        q = rng.uniform(-3.0, 3.0, n)
+        u = rng.uniform(-2.0, 40.0, (n, 1))
+        rho = np.array([diag_state(v) for v in p])
+        pi = np.array([costate_matrix(v) for v in q])
+        ctrl = ControlVector(u=u, gamma_c=gammas[0], gamma_h=gammas[1])
+        ph = pseudo_hamiltonian(rho, pi, ctrl, model, lam=0.3)
+        a = switching_functional(rho, pi, u, model)
+        stat = stationarity_residual(TrajectoryNode(t=np.zeros(n), rho=rho, pi=pi, control=ctrl), model)
+        assert ph.shape == a.shape == (n,)
+        singles = []
+        for j in range(n):
+            ctrl_j = ControlVector(u=u[j], gamma_c=gammas[0], gamma_h=gammas[1])
+            value = pseudo_hamiltonian(rho[j], pi[j], ctrl_j, model, lam=0.3)
+            assert type(value) is float and value == ph[j]
+            value = switching_functional(rho[j], pi[j], u[j], model)
+            assert type(value) is float and value == a[j]
+            singles.append(stationarity_residual(TrajectoryNode(t=0.0, rho=rho[j], pi=pi[j], control=ctrl_j), model))
+        assert stat == max(singles)
+
+    def test_shape_mismatch_rejected(self, baths03):
+        model = TwoLevelResetModel(baths03)
+        rho = np.array([diag_state(0.3)] * 3)
+        with pytest.raises(ValueError, match="costate shape"):
+            pseudo_hamiltonian(rho, costate_matrix(0.1), cold_ctrl(1.0), model)
 
 
 class TestResiduals:

@@ -286,6 +286,11 @@ class TestSwitchCondition:
         assert abs(adiabatic_f(p1, K, baths)) < 1e-10
         assert abs(adiabatic_f(p2, K, baths)) < 1e-10
 
+    def test_below_search_floor_raises_value_error(self, baths03):
+        # the documented limit: the lower root would lie under p = 1e-250
+        with pytest.raises(ValueError, match="too close to 0"):
+            find_jump_points(-1e-260, baths03)
+
     def test_no_jump_points_only_when_f_positive(self, baths03):
         sol = solve_engine(baths03.z)
         p_grid = np.geomspace(1e-250, 1 - 1e-15, 20_001)
