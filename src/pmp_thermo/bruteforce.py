@@ -237,14 +237,14 @@ def local_refine(
     baths: Baths,
     p_tol: float = 1e-3,
     step_schedule: Sequence[float] = (0.1, 0.03, 0.01, 0.003, 0.001),
-    max_sweeps: int = 40,
     history: list[float] | None = None,
 ) -> tuple[BangProtocol, float]:
     """Deterministic coordinate descent on gap levels and interior boundaries.
 
     Each move must keep the target reachable and strictly lower the heat, so
     the returned heat never exceeds the seed's.  Durations trade time between
-    neighboring intervals, preserving the total.  When `history` is given,
+    neighboring intervals, preserving the total.  Each step size sweeps until
+    a sweep improves nothing, at most 40 times.  When `history` is given,
     the heat after every accepted move is appended to it.
     """
     def q_of(proto: BangProtocol) -> float:
@@ -268,7 +268,7 @@ def local_refine(
 
     n = len(current.durations)
     for step in step_schedule:
-        for _ in range(max_sweeps):
+        for _ in range(40):
             improved = False
             for i in range(n):
                 for delta in (+step, -step):

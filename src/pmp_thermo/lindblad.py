@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _TRACE_DRIFT_LIMIT = 1e-8
+_RTOL = 1e-9
+_ATOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -72,10 +74,6 @@ class ControlVector:
         if not (math.isfinite(self.gamma_c) and math.isfinite(self.gamma_h)):
             raise ValueError("damping rates must be finite")
 
-    @property
-    def total_rate(self) -> float:
-        return self.gamma_c + self.gamma_h
-
 
 @dataclass
 class ThermoLedger:
@@ -92,24 +90,20 @@ class ThermoLedger:
         return (self.energy_final - self.energy_initial) + self.work_done + self.heat_released
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    trace_tol: float = 1e-10,
-    herm_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> None:
-    """Raise if rho is not a valid density matrix within the stated tolerances."""
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise unless rho is square, Hermitian to 1e-12, of trace 1 to 1e-10 and
+    has no eigenvalue below -1e-10."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
+    if herm > 1e-12:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} differs from 1 beyond {trace_tol}")
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"trace {tr} differs from 1 beyond 1e-10")
     evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if evals.min() < eig_floor:
+    if evals.min() < -1e-10:
         raise ValueError(f"negative eigenvalue {evals.min():.3e}")
 
 
@@ -299,16 +293,6 @@ class Protocol:
     pieces: Sequence[ProtocolPiece]
     t0: float = 0.0
 
-    @property
-    def duration(self) -> float:
-        return sum(p.duration for p in self.pieces)
-
-    def boundaries(self) -> list[float]:
-        ts = [self.t0]
-        for p in self.pieces:
-            ts.append(ts[-1] + p.duration)
-        return ts
-
 
 @dataclass
 class IntegrationResult:
@@ -328,127 +312,98 @@ class IntegrationResult:
         return self.states[-1]
 
 
-def _pack(rho: np.ndarray, q: float, w: float, dim: int) -> np.ndarray:
-    flat = rho.reshape(-1)
-    return np.concatenate([flat.real, flat.imag, [q, w]])
-
-
-def _unpack(y: np.ndarray, dim: int) -> tuple[np.ndarray, float, float]:
-    n = dim * dim
-    rho = (y[:n] + 1j * y[n : 2 * n]).reshape(dim, dim)
-    return rho, y[2 * n], y[2 * n + 1]
-
-
 def integrate(
     rho0: np.ndarray,
     protocol: Protocol,
     model,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
     samples_per_piece: int = 50,
-    validate_initial: bool = True,
 ) -> IntegrationResult:
     """Adaptively integrate the master equation along a piecewise protocol.
 
     The state is continuous across control jumps; instantaneous quenches
-    contribute work -<rho dH> at piece boundaries and no heat.  Raises
+    contribute work -<rho dH> at piece boundaries and no heat.  Each piece is
+    solved by DOP853 at rtol 1e-9 and atol 1e-12 on the vector (re rho,
+    im rho, Q, W).  Raises ValueError for an invalid initial state,
     IntegrationError on step failure and TraceDriftError when |tr rho - 1|
     exceeds 1e-8.
     """
     dim = model.dim
+    n = dim * dim
     rho0 = np.asarray(rho0, dtype=complex)
-    if validate_initial:
-        check_density_matrix(rho0)
+    check_density_matrix(rho0)
     if not protocol.pieces:
         raise ValueError("protocol has no pieces")
 
-    ts: list[np.ndarray] = []
-    states: list[np.ndarray] = []
-    us: list[np.ndarray] = []
-    gcs: list[np.ndarray] = []
-    ghs: list[np.ndarray] = []
-    qs: list[np.ndarray] = []
-    ws: list[np.ndarray] = []
-
     t_lo = protocol.t0
-    rho = rho0
-    q_acc, w_acc = 0.0, 0.0
-    h0 = model.hamiltonian(protocol.pieces[0].u_at(t_lo))
-    energy_initial = float(np.trace(rho0 @ h0).real)
+    rho, q_acc, w_acc = rho0, 0.0, 0.0
+    # h is the Hamiltonian where the latest piece ended (at first, where the first one starts)
+    h = model.hamiltonian(protocol.pieces[0].u_at(t_lo))
+    energy_initial = float(np.trace(rho0 @ h).real)
+    solved = []  # (piece, solve_ivp solution) of each piece of positive duration
+    us: list[np.ndarray] = []
 
-    prev_piece: ProtocolPiece | None = None
-    for piece in protocol.pieces:
+    for i, piece in enumerate(protocol.pieces):
         if piece.duration < 0.0:
             raise ValueError(f"negative piece duration {piece.duration}")
-        if prev_piece is not None:
+        if i:
             # instantaneous quench: state frozen, work picks up the gap change
-            h_prev = model.hamiltonian(prev_piece.u_at(t_lo))
-            h_next = model.hamiltonian(piece.u_at(t_lo))
-            w_acc += -float(np.trace(rho @ (h_next - h_prev)).real)
-        if piece.duration == 0.0:
-            prev_piece = piece
-            continue
+            w_acc += -float(np.trace(rho @ (model.hamiltonian(piece.u_at(t_lo)) - h)).real)
         t_hi = t_lo + piece.duration
-        control_of = lambda t, piece=piece: ControlVector(
-            u=piece.u_at(t), gamma_c=piece.gamma_c, gamma_h=piece.gamma_h
-        )
+        if piece.duration > 0.0:
 
-        def rhs(t, y, piece=piece, t_lo=t_lo, t_hi=t_hi):
-            rho_t, _, _ = _unpack(y, dim)
-            u_t = piece.u_at(t)
-            ctrl = ControlVector(u=u_t, gamma_c=piece.gamma_c, gamma_h=piece.gamma_h)
-            ldot = lindblad_rhs(rho_t, ctrl, model)
-            dq = -_trace(model.hamiltonian(u_t) @ ldot).real
-            dh = model.dh_du(u_t)
-            dudt = piece.dudt_at(t, t_lo, t_hi).tolist()
-            dw = -sum(v * _trace(rho_t @ dh[k]) for k, v in enumerate(dudt)).real
-            flat = ldot.reshape(-1)
-            return np.concatenate([flat.real, flat.imag, [dq, dw]])
+            def rhs(t, y, piece=piece, t_lo=t_lo, t_hi=t_hi):
+                rho_t = (y[:n] + 1j * y[n : 2 * n]).reshape(dim, dim)
+                u_t = piece.u_at(t)
+                ctrl = ControlVector(u=u_t, gamma_c=piece.gamma_c, gamma_h=piece.gamma_h)
+                ldot = lindblad_rhs(rho_t, ctrl, model)
+                dq = -_trace(model.hamiltonian(u_t) @ ldot).real
+                dh = model.dh_du(u_t)
+                dudt = piece.dudt_at(t, t_lo, t_hi).tolist()
+                dw = -sum(v * _trace(rho_t @ dh[k]) for k, v in enumerate(dudt)).real
+                flat = ldot.reshape(-1)
+                return np.concatenate([flat.real, flat.imag, [dq, dw]])
 
-        t_eval = np.linspace(t_lo, t_hi, max(samples_per_piece, 2))
-        sol = solve_ivp(
-            rhs,
-            (t_lo, t_hi),
-            _pack(rho, q_acc, w_acc, dim),
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            t_eval=t_eval,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise IntegrationError(f"integrator failed: {sol.message}", t=float(sol.t[-1]) if len(sol.t) else t_lo)
-        for i, t in enumerate(sol.t):
-            rho_t, _, _ = _unpack(sol.y[:, i], dim)
-            drift = abs(np.trace(rho_t).real - 1.0)
-            if drift > _TRACE_DRIFT_LIMIT:
-                raise TraceDriftError(f"trace drift {drift:.3e}", t=float(t))
-        ts.append(sol.t)
-        states.append(np.array([_unpack(sol.y[:, i], dim)[0] for i in range(sol.t.size)]))
-        us.append(np.array([control_of(t).u for t in sol.t]))
-        gcs.append(np.full(sol.t.size, piece.gamma_c))
-        ghs.append(np.full(sol.t.size, piece.gamma_h))
-        qs.append(sol.y[2 * dim * dim, :].copy())
-        ws.append(sol.y[2 * dim * dim + 1, :].copy())
-        rho, q_acc, w_acc = _unpack(sol.y[:, -1], dim)
+            flat = rho.reshape(-1)
+            sol = solve_ivp(
+                rhs,
+                (t_lo, t_hi),
+                np.concatenate([flat.real, flat.imag, [q_acc, w_acc]]),
+                method="DOP853",
+                rtol=_RTOL,
+                atol=_ATOL,
+                t_eval=np.linspace(t_lo, t_hi, max(samples_per_piece, 2)),
+                dense_output=False,
+            )
+            if not sol.success:
+                raise IntegrationError(f"integrator failed: {sol.message}", t=float(sol.t[-1]) if len(sol.t) else t_lo)
+            drift = np.abs(sol.y[:n : dim + 1].sum(axis=0) - 1.0)
+            bad = np.flatnonzero(drift > _TRACE_DRIFT_LIMIT)
+            if bad.size:
+                raise TraceDriftError(f"trace drift {drift[bad[0]]:.3e}", t=float(sol.t[bad[0]]))
+            solved.append((piece, sol))
+            us.append(np.array([ControlVector(piece.u_at(t), piece.gamma_c, piece.gamma_h).u for t in sol.t]))
+            end = sol.y[:, -1]
+            rho = (end[:n] + 1j * end[n : 2 * n]).reshape(dim, dim)
+            q_acc, w_acc = end[2 * n :]
+        h = model.hamiltonian(piece.u_at(t_hi))
         t_lo = t_hi
-        prev_piece = piece
 
-    h_final = model.hamiltonian(prev_piece.u_at(t_lo))
+    y = np.concatenate([sol.y for _, sol in solved], axis=1)
+    sizes = [sol.t.size for _, sol in solved]
     ledger = ThermoLedger(
         heat_released=q_acc,
         work_done=w_acc,
         energy_initial=energy_initial,
-        energy_final=float(np.trace(rho @ h_final).real),
+        energy_final=float(np.trace(rho @ h).real),
     )
     return IntegrationResult(
-        t=np.concatenate(ts),
-        states=np.concatenate(states, axis=0),
+        t=np.concatenate([sol.t for _, sol in solved]),
+        states=(y[:n] + 1j * y[n : 2 * n]).T.reshape(-1, dim, dim),
         u=np.concatenate(us, axis=0),
-        gamma_c=np.concatenate(gcs),
-        gamma_h=np.concatenate(ghs),
-        q_cum=np.concatenate(qs),
-        w_cum=np.concatenate(ws),
+        gamma_c=np.repeat([piece.gamma_c for piece, _ in solved], sizes),
+        gamma_h=np.repeat([piece.gamma_h for piece, _ in solved], sizes),
+        q_cum=y[2 * n],
+        w_cum=y[2 * n + 1],
         ledger=ledger,
     )
 

@@ -14,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -117,10 +117,6 @@ class TrajectoryPlan:
     u_in: float
     p_out: float
     u_out: float
-
-    @property
-    def endpoints(self) -> tuple[float, float, float, float]:
-        return (self.p_in, self.u_in, self.p_out, self.u_out)
 
     @property
     def arcs(self) -> tuple[IsothermSegment, ...]:
@@ -424,13 +420,12 @@ def monotonicity_profile(
     p0: float,
     p1: float,
     baths: Baths | None = None,
-    rel_step: float = 1e-5,
 ) -> list[dict]:
     """Sensitivity of arc duration and heat to K at fixed endpoint populations.
 
     Rows carry the closed-form derivatives, d(tau)/dK = [atan x1 - atan x0]
     / (gamma K mu) and dQ/dK = K d(tau)/dK, next to central finite
-    differences of the arc formulas.
+    differences of the arc formulas, with step 1e-5 |K|.
     """
     baths = baths or Baths()
     beta = baths.beta(branch.kind)
@@ -441,7 +436,7 @@ def monotonicity_profile(
         x1 = isotherm_x_of_p(p1, mu_val)
         dtau_analytic = (math.atan(x1) - math.atan(x0)) / (baths.gamma * K * mu_val)
         dq_analytic = K * dtau_analytic
-        h = rel_step * abs(K)
+        h = 1e-5 * abs(K)
         seg_plus = segment_from_populations(branch, K + h, baths, p0, p1)
         seg_minus = segment_from_populations(branch, K - h, baths, p0, p1)
         rows.append(
@@ -515,6 +510,10 @@ class _DeadlinePricer:
             return None
 
 
+# relative tolerance on the plan duration against the deadline
+_TAU_RTOL = 1e-9
+
+
 def plan_for_deadline(
     p_in: float,
     u_in: float,
@@ -523,7 +522,6 @@ def plan_for_deadline(
     tau_target: float,
     baths: Baths | None = None,
     max_cycles: int = 1024,
-    tau_rtol: float = 1e-9,
 ) -> TrajectoryPlan:
     """Minimum-heat plan meeting an exact total duration.
 
@@ -549,14 +547,14 @@ def plan_for_deadline(
         raise Unreachable(k_floor, "endpoints unreachable even at the fastest admissible rate")
     if tau_target < tau_min * (1.0 - 1e-12):
         raise DeadlineInfeasible(tau_target, tau_min)
-    tau_hi = tau_target * (1.0 + tau_rtol)
+    tau_hi = tau_target * (1.0 + _TAU_RTOL)
 
     def solve(n: int, k_lo: float) -> TrajectoryPlan | None:
         """Plan with n cycles at the K >= k_lo where it meets the deadline."""
         lo_tau = pricer.tau(k_lo, n)
         if math.isnan(lo_tau) or lo_tau > tau_hi:
             return None
-        if abs(lo_tau - tau_target) <= tau_rtol * tau_target:
+        if abs(lo_tau - tau_target) <= _TAU_RTOL * tau_target:
             k_sol = k_lo
         else:
             k_hi, hi_tau = k_lo, lo_tau
@@ -567,7 +565,7 @@ def plan_for_deadline(
                 hi_tau = pricer.tau(k_hi, n)
             if math.isnan(hi_tau):
                 return None
-            if abs(hi_tau - tau_target) <= tau_rtol * tau_target:
+            if abs(hi_tau - tau_target) <= _TAU_RTOL * tau_target:
                 k_sol = k_hi
             elif hi_tau < tau_target:
                 return None
@@ -580,7 +578,7 @@ def plan_for_deadline(
                 # K to a few ulps: relative to K*, so the solve is the same at any unit scale
                 k_sol = float(brentq(gap, k_lo, k_hi, xtol=1e-15 * abs(sol.K_star), rtol=8.9e-16))
         plan = pricer.plan(k_sol, n)
-        if plan is None or abs(plan.total_time - tau_target) > max(tau_rtol * tau_target, 1e-9):
+        if plan is None or abs(plan.total_time - tau_target) > max(_TAU_RTOL * tau_target, 1e-9):
             return None
         return plan
 
@@ -686,40 +684,28 @@ def _rows_by_arc(plan: TrajectoryPlan, samples: int) -> dict[IsothermSegment, li
     return rows
 
 
-def sample_plan(plan: TrajectoryPlan, samples_per_segment: int = 1000) -> PlanSamples:
-    """Sample every arc on a uniform local grid; quenches contribute twin points."""
-    ts, us, ps, qs, brs, qcums = [], [], [], [], [], []
+def _plan_rows(plan: TrajectoryPlan, samples: int) -> Iterator[tuple[float, float, float, float, str, float]]:
+    """(t, u, p, q, branch, heat so far) along the plan; each quench gives twin rows."""
     t0 = 0.0
     heat_acc = 0.0
-    rows = _rows_by_arc(plan, samples_per_segment)
+    rows = _rows_by_arc(plan, samples)
     for entry in plan.segments:
         if isinstance(entry, AdiabaticJump):
             branch_label = (entry.to_branch or entry.from_branch or COLD).kind
             for u_val in (entry.u_from, entry.u_to):
-                ts.append(t0)
-                us.append(u_val)
-                ps.append(entry.p)
-                qs.append(_q_at(plan, entry, u_val))
-                brs.append(branch_label)
-                qcums.append(heat_acc)
+                yield t0, u_val, entry.p, _q_at(plan, entry, u_val), branch_label, heat_acc
             continue
         for dt, u_val, p, q, dq in rows[entry]:
-            ts.append(t0 + dt)
-            us.append(u_val)
-            ps.append(p)
-            qs.append(q)
-            brs.append(entry.branch.kind)
-            qcums.append(heat_acc + dq)
+            yield t0 + dt, u_val, p, q, entry.branch.kind, heat_acc + dq
         t0 += entry.duration
         heat_acc += entry.heat
-    return PlanSamples(
-        t=np.array(ts),
-        u=np.array(us),
-        p=np.array(ps),
-        q=np.array(qs),
-        branch=np.array(brs),
-        q_cum=np.array(qcums),
-    )
+
+
+def sample_plan(plan: TrajectoryPlan, samples_per_segment: int = 1000) -> PlanSamples:
+    """Sample every arc on a uniform local grid; quenches contribute twin points."""
+    # an empty plan gives six empty float arrays
+    columns = list(zip(*_plan_rows(plan, samples_per_segment))) or [()] * 6
+    return PlanSamples(*map(np.array, columns))
 
 
 def _q_at(plan: TrajectoryPlan, jump: AdiabaticJump, u_val: float) -> float:
@@ -824,12 +810,10 @@ def validate_plan(plan: TrajectoryPlan, samples_per_segment: int = 200) -> dict:
     """
     model = TwoLevelResetModel(plan.baths)
     dp, dq = plan.continuity_errors()
-    cons = stat = worst_sign = 0.0
+    stat = worst_sign = 0.0
     stacks = _stacks_by_arc(plan, samples_per_segment)
     for stack in stacks.values():
         rho, pi, ctrl = stack.rho, stack.pi, stack.control
-        value = pmp.pseudo_hamiltonian(rho, pi, ctrl, model)
-        cons = max(cons, float(np.max(np.abs(value - plan.K))))
         stat = max(stat, pmp.stationarity_residual(stack, model))
         a = pmp.switching_functional(rho, pi, ctrl.u, model)
         # cold arcs need A >= 0, hot arcs A <= 0, up to a tie tolerance
@@ -837,7 +821,7 @@ def validate_plan(plan: TrajectoryPlan, samples_per_segment: int = 200) -> dict:
     return {
         "max_dp": dp,
         "max_dq": dq,
-        "max_conservation": cons,
+        "max_conservation": pmp.conserved_k_residual(list(stacks.values()), plan.K, model),
         "max_stationarity": stat,
         "max_bang_bang_violation": worst_sign,
         "nodes": sum(stacks[arc].t.size for arc in plan.arcs),
@@ -899,23 +883,10 @@ def write_plan_json(plan: TrajectoryPlan, fileobj: io.TextIOBase) -> None:
 
 def write_plan_csv(plan: TrajectoryPlan, fileobj: io.TextIOBase, samples_per_segment: int = 1000) -> None:
     """Time series `t,u,p,q,branch,Qcum` at 15 significant digits."""
-    samples = sample_plan(plan, samples_per_segment)
     fileobj.write(
         f"# units: time 1/gamma (gamma={_fmt(plan.baths.gamma)}), "
         f"energy 1/beta_c (beta_c={_fmt(plan.baths.beta_c)}); K={_fmt(plan.K)}\n"
     )
     fileobj.write("t,u,p,q,branch,Qcum\n")
-    for i in range(samples.t.size):
-        fileobj.write(
-            ",".join(
-                [
-                    _fmt(samples.t[i]),
-                    _fmt(samples.u[i]),
-                    _fmt(samples.p[i]),
-                    _fmt(samples.q[i]),
-                    str(samples.branch[i]),
-                    _fmt(samples.q_cum[i]),
-                ]
-            )
-            + "\n"
-        )
+    for t, u, p, q, branch, q_cum in _plan_rows(plan, samples_per_segment):
+        fileobj.write(f"{_fmt(t)},{_fmt(u)},{_fmt(p)},{_fmt(q)},{branch},{_fmt(q_cum)}\n")

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _FIXED_POINT_TOL = 1e-8
+_TIE_TOL = 1e-12
 
 
 def costate_matrix(q: float) -> np.ndarray:
@@ -154,18 +155,18 @@ class BathChoice:
     gamma_h: float
 
 
-def select_bath(a: float, current: str = "cold", gamma: float = 1.0, tie_tol: float = 1e-12) -> BathChoice:
+def select_bath(a: float, current: str = "cold", gamma: float = 1.0) -> BathChoice:
     """Full coupling to the cold bath for A > 0, hot for A < 0, sticky at ties.
 
-    A vanishing selector is measure-zero along optimal trajectories; switching
-    there is governed by the planner's jump conditions, so ties keep the
-    currently active bath.
+    A vanishing selector (|A| <= 1e-12) is measure-zero along optimal
+    trajectories; switching there is governed by the planner's jump
+    conditions, so ties keep the currently active bath.
     """
     if current not in ("cold", "hot"):
         raise ValueError(f"current bath must be 'cold' or 'hot', got {current!r}")
-    if a > tie_tol:
+    if a > _TIE_TOL:
         label = "cold"
-    elif a < -tie_tol:
+    elif a < -_TIE_TOL:
         label = "hot"
     else:
         label = current
@@ -210,12 +211,13 @@ def conserved_k_residual(nodes: Sequence[TrajectoryNode], K: float, model) -> fl
     """max_t |<(pi - H_u) L_u[rho]> - K| over the sampled nodes.
 
     K comes from the trajectory metadata; the residual tests consistency of
-    the samples against it rather than re-estimating the constant.
+    the samples against it rather than re-estimating the constant.  On a
+    stacked node the maximum also runs over the samples.
     """
     worst = 0.0
     for node in nodes:
         value = pseudo_hamiltonian(node.rho, node.pi, node.control, model)
-        worst = max(worst, abs(value - K))
+        worst = max(worst, float(np.max(np.abs(value - K))))
     return worst
 
 

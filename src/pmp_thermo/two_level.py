@@ -314,10 +314,10 @@ def adiabatic_f_min(K: float, baths: Baths, xatol: float = 1e-13) -> tuple[float
 _TANGENT_FTOL = 1e-9
 
 
-def find_jump_points(K: float, baths: Baths, xtol: float = 1e-15) -> tuple[float, float]:
+def find_jump_points(K: float, baths: Baths) -> tuple[float, float]:
     """The two populations where a branch switch preserves state and costate.
 
-    Returns (p_ad1, p_ad2) with p_ad1 <= p_ad2, each located to `xtol` in
+    Returns (p_ad1, p_ad2) with p_ad1 <= p_ad2, each located to 1e-15 in
     log p.  Raises NoJumpPoints when the switch condition has no zero (K
     below the root-merging threshold).  At the threshold itself both values
     coincide.
@@ -337,8 +337,8 @@ def find_jump_points(K: float, baths: Baths, xtol: float = 1e-15) -> tuple[float
     if f(_S_LO) <= 0.0:
         raise ValueError(f"K={K} is too close to 0: the lower switch population lies below 1e-250")
     sm = math.log(pm)
-    p1 = math.exp(brentq(f, _S_LO, sm, xtol=xtol))
-    p2 = math.exp(brentq(f, sm, _S_HI, xtol=xtol))
+    p1 = math.exp(brentq(f, _S_LO, sm, xtol=1e-15))
+    p2 = math.exp(brentq(f, sm, _S_HI, xtol=1e-15))
     return p1, p2
 
 
@@ -412,12 +412,14 @@ def solve_engine(z: float, beta_c: float = 1.0, gamma: float = 1.0) -> EngineSol
     baths = Baths.from_ratio(z)
 
     theta = lambert_w0(math.exp(-1.0)) / 4.0
-    # K* satisfies -K* <= theta/z, so 3x that brackets from below
+    # K* satisfies -K* <= theta/z, so 3x that brackets from below.  Near z = 1,
+    # K* behaves like -0.0275 (1 - z)^2, so the upper end shrinks with it, and
+    # so does the absolute tolerance, which leaves rtol in charge.
     lo = -3.0 * theta / z
-    hi = -1e-12
+    hi = -min(1e-12, 1e-3 * (1.0 - z) ** 2)
     if adiabatic_f_min(lo, baths)[0] < 0.0:  # pragma: no cover - safety net
         raise SolverError(f"failed to bracket the root-merging K for z={z}")
-    K = brentq(lambda k: adiabatic_f_min(k, baths)[0], lo, hi, xtol=1e-30, rtol=1e-15)
+    K = brentq(lambda k: adiabatic_f_min(k, baths)[0], lo, hi, xtol=1e-18 * abs(hi), rtol=1e-15)
     p = adiabatic_f_min(K, baths, xatol=1e-15)[1]
 
     # damped Newton on (f, h) with numeric Jacobian

@@ -31,6 +31,11 @@ class TestEngineCommand:
         assert data["u_h_star"] > data["u_c_star"] > 0.0
         assert abs(data["eta_star"] - data["eta_curzon_ahlborn"]) < 0.03
 
+    def test_close_to_equal_temperatures(self, capsys):
+        code, out, err = run_cli(capsys, "engine", "--z", "0.999999")
+        assert code == 0 and err == ""
+        assert json.loads(out)["K_star"] == pytest.approx(-2.7451843671646192e-14, rel=1e-9)
+
     def test_out_file_and_schedule(self, capsys, tmp_path):
         out_json = tmp_path / "engine.json"
         sched = tmp_path / "sched.csv"

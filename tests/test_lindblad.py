@@ -7,11 +7,16 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.stats import linregress
 
+from pmp_thermo import lindblad
 from pmp_thermo.lindblad import (
     ControlVector,
     DiagonalResetModel,
+    IntegrationError,
+    IntegrationResult,
     Protocol,
     ProtocolPiece,
+    ThermoLedger,
+    TraceDriftError,
     TwoLevelResetModel,
     check_density_matrix,
     integrate,
@@ -400,3 +405,172 @@ class TestValidationAndExport:
         # 15 significant digits survive a round trip
         first_row = lines[2].split(",")
         assert float(first_row[4]) == pytest.approx(0.8, abs=1e-14)
+
+
+def _reference_integrate(rho0, protocol, model, samples_per_piece=50):
+    """integrate as it was before it built its result from the stacked solution:
+    per-sample unpacking, a per-sample trace check and seven per-piece lists."""
+    dim = model.dim
+
+    def pack(rho, q, w):
+        flat = rho.reshape(-1)
+        return np.concatenate([flat.real, flat.imag, [q, w]])
+
+    def unpack(y):
+        n = dim * dim
+        return (y[:n] + 1j * y[n : 2 * n]).reshape(dim, dim), y[2 * n], y[2 * n + 1]
+
+    rho0 = np.asarray(rho0, dtype=complex)
+    check_density_matrix(rho0)
+    if not protocol.pieces:
+        raise ValueError("protocol has no pieces")
+    ts, states, us, gcs, ghs, qs, ws = [], [], [], [], [], [], []
+    t_lo = protocol.t0
+    rho = rho0
+    q_acc, w_acc = 0.0, 0.0
+    h0 = model.hamiltonian(protocol.pieces[0].u_at(t_lo))
+    energy_initial = float(np.trace(rho0 @ h0).real)
+    prev_piece = None
+    for piece in protocol.pieces:
+        if piece.duration < 0.0:
+            raise ValueError(f"negative piece duration {piece.duration}")
+        if prev_piece is not None:
+            h_prev = model.hamiltonian(prev_piece.u_at(t_lo))
+            h_next = model.hamiltonian(piece.u_at(t_lo))
+            w_acc += -float(np.trace(rho @ (h_next - h_prev)).real)
+        if piece.duration == 0.0:
+            prev_piece = piece
+            continue
+        t_hi = t_lo + piece.duration
+        control_of = lambda t, piece=piece: ControlVector(u=piece.u_at(t), gamma_c=piece.gamma_c, gamma_h=piece.gamma_h)
+
+        def rhs(t, y, piece=piece, t_lo=t_lo, t_hi=t_hi):
+            rho_t, _, _ = unpack(y)
+            u_t = piece.u_at(t)
+            ctrl = ControlVector(u=u_t, gamma_c=piece.gamma_c, gamma_h=piece.gamma_h)
+            ldot = lindblad_rhs(rho_t, ctrl, model)
+            dq = -lindblad._trace(model.hamiltonian(u_t) @ ldot).real
+            dh = model.dh_du(u_t)
+            dudt = piece.dudt_at(t, t_lo, t_hi).tolist()
+            dw = -sum(v * lindblad._trace(rho_t @ dh[k]) for k, v in enumerate(dudt)).real
+            flat = ldot.reshape(-1)
+            return np.concatenate([flat.real, flat.imag, [dq, dw]])
+
+        sol = solve_ivp(
+            rhs, (t_lo, t_hi), pack(rho, q_acc, w_acc), method="DOP853", rtol=1e-9, atol=1e-12,
+            t_eval=np.linspace(t_lo, t_hi, max(samples_per_piece, 2)), dense_output=False,
+        )
+        if not sol.success:
+            raise IntegrationError(f"integrator failed: {sol.message}", t=float(sol.t[-1]) if len(sol.t) else t_lo)
+        for i, t in enumerate(sol.t):
+            rho_t, _, _ = unpack(sol.y[:, i])
+            drift = abs(np.trace(rho_t).real - 1.0)
+            if drift > 1e-8:
+                raise TraceDriftError(f"trace drift {drift:.3e}", t=float(t))
+        ts.append(sol.t)
+        states.append(np.array([unpack(sol.y[:, i])[0] for i in range(sol.t.size)]))
+        us.append(np.array([control_of(t).u for t in sol.t]))
+        gcs.append(np.full(sol.t.size, piece.gamma_c))
+        ghs.append(np.full(sol.t.size, piece.gamma_h))
+        qs.append(sol.y[2 * dim * dim, :].copy())
+        ws.append(sol.y[2 * dim * dim + 1, :].copy())
+        rho, q_acc, w_acc = unpack(sol.y[:, -1])
+        t_lo = t_hi
+        prev_piece = piece
+    h_final = model.hamiltonian(prev_piece.u_at(t_lo))
+    ledger = ThermoLedger(
+        heat_released=q_acc, work_done=w_acc, energy_initial=energy_initial,
+        energy_final=float(np.trace(rho @ h_final).real),
+    )
+    return IntegrationResult(
+        t=np.concatenate(ts), states=np.concatenate(states, axis=0), u=np.concatenate(us, axis=0),
+        gamma_c=np.concatenate(gcs), gamma_h=np.concatenate(ghs), q_cum=np.concatenate(qs),
+        w_cum=np.concatenate(ws), ledger=ledger,
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of fn, or the type, message and time of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "t", None)
+
+
+def _assert_same_outcome(*args, **kwargs):
+    want = _outcome(_reference_integrate, *args, **kwargs)
+    got = _outcome(integrate, *args, **kwargs)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    for name in ("t", "states", "u", "gamma_c", "gamma_h", "q_cum", "w_cum"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+    assert got.ledger == want.ledger
+    return want
+
+
+class _LeakyModel(DiagonalResetModel):
+    """Reset map that loses trace at rate 1e-6 while a bath is coupled."""
+
+    def dissipator(self, rho, u, kind):
+        return super().dissipator(rho, u, kind) - 1e-6 * np.asarray(rho, dtype=complex)
+
+
+class TestIntegrateAgainstReference:
+    """integrate gives the bits of _reference_integrate, and raises what it raises."""
+
+    def test_plans(self, reference_plan):
+        plan = reference_plan
+        rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
+        _assert_same_outcome(rho0, plan_to_protocol(plan), TwoLevelResetModel(plan.baths))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("t0", [0.0, 1.7])
+    def test_piecewise_protocols(self, rng, dim, t0):
+        model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.25), dim)
+        a = rng.uniform(0.5, 2.5, dim - 1)
+        b = rng.uniform(-0.5, 0.5, dim - 1)
+        constant = ProtocolPiece(duration=0.7, u=a, gamma_c=1.0, gamma_h=0.0)
+        zero = ProtocolPiece(duration=0.0, u=a + 1.0, gamma_c=0.0, gamma_h=1.0)
+        no_dudt = ProtocolPiece(duration=0.9, u=lambda t: a + b * math.sin(3.0 * t), gamma_c=0.0, gamma_h=1.0)
+        exact = ProtocolPiece(duration=0.5, u=lambda t: a * (1.0 + 0.1 * t), gamma_c=0.4, gamma_h=0.6, dudt=lambda t: 0.1 * a)
+        rho0 = random_density(rng, dim)
+        for pieces, samples in (
+            ([constant, zero, no_dudt, exact, zero], 50),
+            ([zero, no_dudt, zero, zero, constant], 7),
+            ([exact], 2),
+            ([zero, zero], 50),  # nothing to sample
+        ):
+            _assert_same_outcome(rho0, Protocol(pieces=pieces, t0=t0), model, samples_per_piece=samples)
+
+    def test_error_paths(self, baths03):
+        model = TwoLevelResetModel(baths03)
+        rho0 = np.diag([0.8, 0.2]).astype(complex)
+        detached = ProtocolPiece(duration=0.5, u=np.array([1.0]), gamma_c=0.0, gamma_h=0.0)
+        coupled = ProtocolPiece(duration=1.0, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0)
+        t_bad = float(np.linspace(0.0, 1.0, 50)[17])
+        nan_at_sample = ProtocolPiece(
+            duration=1.0, u=lambda t: np.array([math.nan if t == t_bad else 1.0]), gamma_c=1.0, gamma_h=0.0
+        )
+        # a control velocity that jumps by 1e100 halfway: the step size collapses there
+        blow_up = ProtocolPiece(
+            duration=1.0, u=lambda t: np.array([1.0]), gamma_c=1.0, gamma_h=0.0, dudt=lambda t: np.array([1e100 if t > 0.5 else 1.0])
+        )
+        backwards = ProtocolPiece(duration=-1.0, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0)
+        cases = (
+            (_LeakyModel(baths03, 2), [detached, coupled], TraceDriftError),
+            (model, [blow_up], IntegrationError),
+            (model, [detached, backwards], ValueError),
+            (model, [nan_at_sample], ValueError),
+            (model, [], ValueError),
+        )
+        for m, pieces, error in cases:
+            kind, message, t = _assert_same_outcome(rho0, Protocol(pieces=pieces), m)
+            assert issubclass(kind, error), (kind, message)
+        # the drift passes 1e-8 at t = 0.51 (0.01 into the coupled piece): the
+        # first output sample after that is the second one of the piece
+        kind, _, t = _outcome(integrate, rho0, Protocol(pieces=[detached, coupled]), _LeakyModel(baths03, 2))
+        assert kind is TraceDriftError and t == float(np.linspace(0.5, 1.5, 50)[1])
+        with pytest.raises(ValueError, match="non-finite control vector"):
+            integrate(rho0, Protocol(pieces=[nan_at_sample]), model)

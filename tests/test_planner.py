@@ -404,6 +404,72 @@ class TestSamplingAndExport:
         assert lines[1] == "t,u,p,q,branch,Qcum"
 
 
+def _reference_sample_plan(plan, samples_per_segment=1000):
+    """sample_plan as it was before the row walk: six parallel lists."""
+    ts, us, ps, qs, brs, qcums = [], [], [], [], [], []
+    t0 = 0.0
+    heat_acc = 0.0
+    rows = planner._rows_by_arc(plan, samples_per_segment)
+    for entry in plan.segments:
+        if isinstance(entry, planner.AdiabaticJump):
+            branch_label = (entry.to_branch or entry.from_branch or COLD).kind
+            for u_val in (entry.u_from, entry.u_to):
+                ts.append(t0)
+                us.append(u_val)
+                ps.append(entry.p)
+                qs.append(planner._q_at(plan, entry, u_val))
+                brs.append(branch_label)
+                qcums.append(heat_acc)
+            continue
+        for dt, u_val, p, q, dq in rows[entry]:
+            ts.append(t0 + dt)
+            us.append(u_val)
+            ps.append(p)
+            qs.append(q)
+            brs.append(entry.branch.kind)
+            qcums.append(heat_acc + dq)
+        t0 += entry.duration
+        heat_acc += entry.heat
+    return planner.PlanSamples(
+        t=np.array(ts), u=np.array(us), p=np.array(ps), q=np.array(qs), branch=np.array(brs), q_cum=np.array(qcums)
+    )
+
+
+def _reference_write_plan_csv(plan, fileobj, samples_per_segment=1000):
+    """write_plan_csv as it was: an index loop over the arrays of sample_plan."""
+    samples = _reference_sample_plan(plan, samples_per_segment)
+    fmt = lambda x: f"{x:.15g}"
+    fileobj.write(
+        f"# units: time 1/gamma (gamma={fmt(plan.baths.gamma)}), "
+        f"energy 1/beta_c (beta_c={fmt(plan.baths.beta_c)}); K={fmt(plan.K)}\n"
+    )
+    fileobj.write("t,u,p,q,branch,Qcum\n")
+    for i in range(samples.t.size):
+        row = [samples.t[i], samples.u[i], samples.p[i], samples.q[i], samples.branch[i], samples.q_cum[i]]
+        fileobj.write(",".join([*map(fmt, row[:4]), str(row[4]), fmt(row[5])]) + "\n")
+
+
+class TestRowWalkAgainstReference:
+    """sample_plan and write_plan_csv give the bits of the former per-column lists."""
+
+    @pytest.mark.parametrize("samples", [2, 1000])
+    def test_samples_and_csv(self, reference_plan, samples):
+        plan = reference_plan
+        got, want = sample_plan(plan, samples), _reference_sample_plan(plan, samples)
+        for name in ("t", "u", "p", "q", "branch", "q_cum"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+        buf, ref = io.StringIO(), io.StringIO()
+        write_plan_csv(plan, buf, samples)
+        _reference_write_plan_csv(plan, ref, samples)
+        assert buf.getvalue() == ref.getvalue()
+
+    def test_empty_plan_gives_empty_float_arrays(self, baths03):
+        samples = sample_plan(build_trajectory(0.07, 1.0, 0.07, 1.0, K_REF, 0, baths03))
+        assert all(getattr(samples, name).shape == (0,) for name in ("t", "u", "p", "q", "branch", "q_cum"))
+        assert all(getattr(samples, name).dtype == np.float64 for name in ("t", "u", "p", "q", "branch", "q_cum"))
+
+
 def _chi_mp(x, mu_val):
     x, mu_val = mp.mpf(x), mp.mpf(mu_val)
     return -(2 / mu_val) * mp.atan(x) + mp.log((x * x + 1) / x)

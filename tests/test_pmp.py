@@ -322,17 +322,22 @@ class TestStackedResiduals:
         ctrl = ControlVector(u=u, gamma_c=gammas[0], gamma_h=gammas[1])
         ph = pseudo_hamiltonian(rho, pi, ctrl, model, lam=0.3)
         a = switching_functional(rho, pi, u, model)
-        stat = stationarity_residual(TrajectoryNode(t=np.zeros(n), rho=rho, pi=pi, control=ctrl), model)
+        stack = TrajectoryNode(t=np.zeros(n), rho=rho, pi=pi, control=ctrl)
+        stat = stationarity_residual(stack, model)
         assert ph.shape == a.shape == (n,)
-        singles = []
+        nodes = []
         for j in range(n):
             ctrl_j = ControlVector(u=u[j], gamma_c=gammas[0], gamma_h=gammas[1])
             value = pseudo_hamiltonian(rho[j], pi[j], ctrl_j, model, lam=0.3)
             assert type(value) is float and value == ph[j]
             value = switching_functional(rho[j], pi[j], u[j], model)
             assert type(value) is float and value == a[j]
-            singles.append(stationarity_residual(TrajectoryNode(t=0.0, rho=rho[j], pi=pi[j], control=ctrl_j), model))
-        assert stat == max(singles)
+            nodes.append(TrajectoryNode(t=0.0, rho=rho[j], pi=pi[j], control=ctrl_j))
+        assert stat == max(stationarity_residual(node, model) for node in nodes)
+        # the conservation residual of a stack is the maximum over its samples
+        cons = conserved_k_residual([stack], K_REF, model)
+        assert type(cons) is float and cons == conserved_k_residual(nodes, K_REF, model)
+        assert conserved_k_residual([stack, nodes[0]], K_REF, model) == cons
 
     def test_shape_mismatch_rejected(self, baths03):
         model = TwoLevelResetModel(baths03)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -330,6 +331,26 @@ def engine_grid_oracle(z, k_lo, k_hi, n_rounds=40, n_p=10_000):
     return 0.5 * (k_lo + k_hi)
 
 
+def _k_star_mpmath(z, p0, k0):
+    """K* at 50 digits: the root of f = 0 and the merging condition in (p, K),
+    with K = k0 c so that both unknowns are of order one."""
+    with mp.workdps(50):
+        beta_c, beta_h = mp.mpf(1), mp.mpf(z)
+
+        def equations(p, c):
+            K = mp.mpf(k0) * c
+            mu_c, mu_h = -mp.sqrt(-beta_c * K), mp.sqrt(-beta_h * K)
+            x_c = (mp.sqrt(mu_c**2 + 4 * p * (1 - p)) - mu_c) / (2 * p)
+            x_h = 2 * (1 - p) / (mp.sqrt(mu_h**2 + 4 * p * (1 - p)) + mu_h)
+            r = x_c / x_h
+            f = r - 1 / r + 2 * mp.sqrt(beta_c * beta_h) * (mp.log(x_c) / beta_c - mp.log(x_h) / beta_h)
+            merge = (x_c + 1 / x_c) / mu_c + (x_h + 1 / x_h) / mu_h
+            return f / mu_c**2, merge * mu_c
+
+        _, c = mp.findroot(equations, (mp.mpf(p0), mp.mpf(1)))
+        return float(mp.mpf(k0) * c)
+
+
 class TestEngineSolver:
     def test_residuals_at_reference_ratio(self):
         sol = solve_engine(0.3)
@@ -379,6 +400,14 @@ class TestEngineSolver:
         assert scaled.K_star == pytest.approx(ref.K_star * 5.0 / 2.0, rel=1e-9)
         assert scaled.u_c_star == pytest.approx(ref.u_c_star / 2.0, rel=1e-9)
         assert scaled.eta_star == pytest.approx(ref.eta_star, rel=1e-9)
+
+    @pytest.mark.parametrize("z", [0.999999, 1.0 - 1e-9])
+    def test_close_to_equal_temperatures(self, z):
+        # K* ~ -0.0275 (1 - z)^2 lies above a fixed bracket end of -1e-12 here
+        sol = solve_engine(z)  # raises SolverError if a residual exceeds 1e-10
+        assert max(engine_residuals(sol)) <= 1e-10
+        ref = _k_star_mpmath(z, sol.p_star, sol.K_star)
+        assert abs(sol.K_star - ref) <= 1e-6 * abs(ref)
 
     def test_invalid_ratio_rejected(self):
         for z in (0.0, 1.0, -0.5, 2.0):
