@@ -41,7 +41,11 @@ _ATOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive integration failed; carries the time of failure."""
+    """Adaptive integration failed.
+
+    `t` is the last output sample the integrator reached, not the time at
+    which it failed: the piece's start when it reached none.
+    """
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} (t={t})")
@@ -325,7 +329,9 @@ def integrate(
     solved by DOP853 at rtol 1e-9 and atol 1e-12 on the vector (re rho,
     im rho, Q, W).  Raises ValueError for an invalid initial state,
     IntegrationError on step failure and TraceDriftError when |tr rho - 1|
-    exceeds 1e-8.
+    exceeds 1e-8.  The error's `t` is an output sample: for a step failure
+    the last sample reached before it (the piece's start if none), for trace
+    drift the first sample past the bound.
     """
     dim = model.dim
     n = dim * dim

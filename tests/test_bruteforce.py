@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmp_thermo import bruteforce
 from pmp_thermo.bruteforce import (
@@ -329,6 +332,122 @@ class TestLayeredEnumeration:
         grid_search(0.07, 0.26, grid, baths)
         assert max(sizes) <= bruteforce._CHUNK
         assert sum(sizes) < 1.1 * len(LEVELS_FINE) ** 6  # each prefix stepped once
+
+
+def assert_same_bits(p_in, p_out, grid, baths, p_tol):
+    """grid_search and the reference agree on every field by repr, so signed zeros count too.
+
+    Returns the search result, or the InfeasibleTarget it raised."""
+
+    def outcome(search):
+        try:
+            res = search(p_in, p_out, grid, baths, p_tol)
+        except InfeasibleTarget as exc:
+            return exc, repr(exc.closest_approach)
+        return res, repr((res.q_best, res.protocol, res.p_final, res.n_feasible, res.n_evaluated))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res, got = outcome(grid_search)
+    assert got == outcome(_reference_grid_search)[1]
+    return res
+
+
+class TestMeetInTheMiddle:
+    """The split search against the digit-decoding reference, bit for bit."""
+
+    @pytest.mark.parametrize("n, n_levels", [(1, 12), (3, 9), (5, 6), (7, 4), (8, 4)])
+    def test_odd_and_even_splits(self, worked, n, n_levels):
+        baths, plan = worked
+        levels = tuple(float(v) for v in np.linspace(0.0, 11.0, n_levels))
+        grid = ProtocolGrid(n, levels, single_switch_patterns(n), plan.total_time)
+        res = assert_same_bits(0.07, 0.26, grid, baths, 1e-2)
+        assert isinstance(res, GridSearchResult)
+
+    @pytest.mark.parametrize("rate_time", [300.0, 800.0])  # e^{-gamma dt}^h2 underflows; at 800 e^{-gamma dt} does
+    @pytest.mark.parametrize("p_tol", [0.0, 1e-3])
+    def test_underflowing_slope(self, rate_time, p_tol):
+        # every interval relaxes fully, so the landings are the Gibbs populations of the last level
+        baths = Baths.from_ratio(0.3)
+        levels = tuple(float(v) for v in np.linspace(0.0, 11.0, 6))
+        grid = ProtocolGrid(6, levels, all_patterns(6), tau=6 * rate_time)
+        assert math.exp(-rate_time) ** 3 == 0.0
+        res = assert_same_bits(0.07, bruteforce._p_eq(levels[2], baths.beta_h), grid, baths, p_tol)
+        assert isinstance(res, GridSearchResult)
+        assert isinstance(assert_same_bits(0.07, 0.26, grid, baths, p_tol), InfeasibleTarget)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_equal_baths_tie_across_halves(self, worked, n):
+        # equal temperatures make every pattern's halves release the same heats,
+        # and repeated levels tie protocols inside a pattern too
+        _, plan = worked
+        baths = Baths(beta_c=1.0, beta_h=1.0)
+        levels = (0.0, 3.0, 3.0, 6.0, 9.0, 9.0)
+        grid = ProtocolGrid(n, levels, all_patterns(n), plan.total_time)
+        res = assert_same_bits(0.07, bruteforce._p_eq(3.0, 1.0), grid, baths, 1e-3)
+        assert res.protocol.baths_pattern == grid.bath_patterns[0]
+
+    @pytest.mark.parametrize("p_tol", [0.0, 1.0])
+    def test_tolerance_extremes(self, worked, p_tol):
+        baths, plan = worked
+        grid = ProtocolGrid(5, LEVELS_COARSE, single_switch_patterns(5), plan.total_time)
+        out = assert_same_bits(0.07, 0.26, grid, baths, p_tol)
+        if p_tol == 1.0:
+            assert out.n_feasible == grid.n_protocols
+        else:
+            assert isinstance(out, InfeasibleTarget)
+
+    @pytest.mark.parametrize("n", [3, 6, 7])
+    def test_infeasible_grids(self, worked, n):
+        baths, plan = worked
+        grid = ProtocolGrid(n, (0.0, 2.5, 10.0), all_patterns(n), plan.total_time)
+        assert isinstance(assert_same_bits(0.07, 0.26, grid, baths, 1e-9), InfeasibleTarget)
+
+    @pytest.mark.parametrize(
+        "levels, p_tol",
+        [(LEVELS_FINE, 0.05), ((0.0, 3.0, 3.0, 6.0, 9.0, 9.0, 10.5), 1e-2), (LEVELS_COARSE, 1.0)],
+        ids=["L12", "L7-repeated", "every-pair"],
+    )
+    def test_small_pair_blocks(self, worked, monkeypatch, levels, p_tol):
+        baths, plan = worked
+        monkeypatch.setattr(bruteforce, "_CHUNK", 64)
+        grid = ProtocolGrid(5, levels, single_switch_patterns(5), plan.total_time)
+        assert isinstance(assert_same_bits(0.07, 0.26, grid, baths, p_tol), GridSearchResult)
+
+    def test_pair_blocks_hold_at_most_chunk_pairs(self, worked, monkeypatch):
+        baths, plan = worked
+        sizes = []
+        pair_blocks = bruteforce._pair_blocks
+
+        def spy(lo, hi):
+            for s, pos in pair_blocks(lo, hi):
+                assert s.shape == pos.shape
+                sizes.append(s.size)
+                yield s, pos
+
+        monkeypatch.setattr(bruteforce, "_CHUNK", 1000)
+        monkeypatch.setattr(bruteforce, "_pair_blocks", spy)
+        grid = ProtocolGrid(6, LEVELS_COARSE, single_switch_patterns(6), plan.total_time)
+        res = grid_search(0.07, 0.26, grid, baths, p_tol=1.0)  # every protocol lands
+        assert res.n_feasible == grid.n_protocols
+        assert max(sizes) <= 1000
+        assert sum(sizes) >= grid.n_protocols
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        n=st.integers(min_value=1, max_value=5),
+        levels=st.lists(st.sampled_from([0.0, 0.5, 2.0, 3.0, 5.5, 8.0, 11.0]), min_size=1, max_size=5),
+        tau=st.floats(min_value=math.log(0.1), max_value=math.log(3000.0)).map(math.exp),
+        z=st.sampled_from([0.3, 0.9, 1.0]),
+        p_in=st.floats(min_value=0.0, max_value=1.0),
+        p_out=st.floats(min_value=0.0, max_value=0.5),
+        p_tol=st.sampled_from([0.0, 1e-4, 1e-3, 0.02, 1.0]),
+        every_pattern=st.booleans(),
+    )
+    def test_small_grids(self, n, levels, tau, z, p_in, p_out, p_tol, every_pattern):
+        patterns = all_patterns(n) if every_pattern else single_switch_patterns(n)
+        grid = ProtocolGrid(n, tuple(levels), patterns, tau)
+        assert_same_bits(p_in, p_out, grid, Baths.from_ratio(z) if z < 1.0 else Baths(1.0, 1.0), p_tol)
 
 
 class TestInputChecks:

@@ -574,3 +574,15 @@ class TestIntegrateAgainstReference:
         assert kind is TraceDriftError and t == float(np.linspace(0.5, 1.5, 50)[1])
         with pytest.raises(ValueError, match="non-finite control vector"):
             integrate(rho0, Protocol(pieces=[nan_at_sample]), model)
+
+    def test_step_failure_reports_last_sample_reached(self, baths03):
+        # the step size collapses at t = 0.5, between samples 24 (0.4898) and 25 (0.5102)
+        # of linspace(0, 1, 50): the error carries the last sample reached, not 0.5
+        blow_up = ProtocolPiece(
+            duration=1.0, u=lambda t: np.array([1.0]), gamma_c=1.0, gamma_h=0.0, dudt=lambda t: np.array([1e100 if t > 0.5 else 1.0])
+        )
+        rho0 = np.diag([0.8, 0.2]).astype(complex)
+        with pytest.raises(IntegrationError) as err:
+            integrate(rho0, Protocol(pieces=[blow_up]), TwoLevelResetModel(baths03))
+        assert type(err.value) is IntegrationError
+        assert err.value.t == float(np.linspace(0.0, 1.0, 50)[24])
