@@ -56,12 +56,21 @@ class TraceDriftError(IntegrationError):
     """Trace of the state drifted beyond the allowed bound."""
 
 
+def _check_finite(u: np.ndarray) -> None:
+    """Raise ValueError unless every entry of the float array u is finite."""
+    if not all(map(math.isfinite, u.ravel().tolist())):
+        raise ValueError(f"non-finite control vector {u}")
+
+
 @dataclass(frozen=True)
 class ControlVector:
     """Instantaneous controls: Hamiltonian parameters and the two damping rates.
 
     u may carry a leading stack axis, (n, n_controls), for a stack of states
-    under one pair of rates.
+    under one pair of rates.  Construction checks that u is finite and the
+    rates finite and non-negative.  `integrate` builds one per piece, for its
+    rates, and checks u in each right-hand side with the same message, so that
+    it does not pay for a construction per evaluation.
     """
 
     u: np.ndarray
@@ -71,8 +80,7 @@ class ControlVector:
     def __post_init__(self):
         u = np.atleast_1d(np.asarray(self.u, dtype=float))
         object.__setattr__(self, "u", u)
-        if not np.all(np.isfinite(u)):
-            raise ValueError(f"non-finite control vector {u}")
+        _check_finite(u)
         if self.gamma_c < 0.0 or self.gamma_h < 0.0:
             raise ValueError(f"damping rates must be non-negative, got {self.gamma_c}, {self.gamma_h}")
         if not (math.isfinite(self.gamma_c) and math.isfinite(self.gamma_h)):
@@ -251,13 +259,18 @@ def lindblad_rhs(rho: np.ndarray, control: ControlVector, model) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (model.dim, model.dim):
         raise ValueError(f"state shape {rho.shape} does not match model dim {model.dim}")
-    h = model.hamiltonian(control.u)
+    return _generator(rho, control.u, control.gamma_c, control.gamma_h, model)[0]
+
+
+def _generator(rho: np.ndarray, u: np.ndarray, gamma_c: float, gamma_h: float, model) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's action on rho, and the Hamiltonian H_u it was built with."""
+    h = model.hamiltonian(u)
     out = -1j * (h @ rho - rho @ h)
-    if control.gamma_c > 0.0:
-        out = out + control.gamma_c * model.dissipator(rho, control.u, "cold")
-    if control.gamma_h > 0.0:
-        out = out + control.gamma_h * model.dissipator(rho, control.u, "hot")
-    return out
+    if gamma_c > 0.0:
+        out = out + gamma_c * model.dissipator(rho, u, "cold")
+    if gamma_h > 0.0:
+        out = out + gamma_h * model.dissipator(rho, u, "hot")
+    return out, h
 
 
 @dataclass
@@ -356,13 +369,15 @@ def integrate(
             w_acc += -float(np.trace(rho @ (model.hamiltonian(piece.u_at(t_lo)) - h)).real)
         t_hi = t_lo + piece.duration
         if piece.duration > 0.0:
+            # the rates are fixed along a piece: checked here once, with u at its start
+            ControlVector(piece.u_at(t_lo), piece.gamma_c, piece.gamma_h)
 
             def rhs(t, y, piece=piece, t_lo=t_lo, t_hi=t_hi):
                 rho_t = (y[:n] + 1j * y[n : 2 * n]).reshape(dim, dim)
                 u_t = piece.u_at(t)
-                ctrl = ControlVector(u=u_t, gamma_c=piece.gamma_c, gamma_h=piece.gamma_h)
-                ldot = lindblad_rhs(rho_t, ctrl, model)
-                dq = -_trace(model.hamiltonian(u_t) @ ldot).real
+                _check_finite(u_t)
+                ldot, h_t = _generator(rho_t, u_t, piece.gamma_c, piece.gamma_h, model)
+                dq = -_trace(h_t @ ldot).real
                 dh = model.dh_du(u_t)
                 dudt = piece.dudt_at(t, t_lo, t_hi).tolist()
                 dw = -sum(v * _trace(rho_t @ dh[k]) for k, v in enumerate(dudt)).real

@@ -623,6 +623,8 @@ def _arc_x(seg: IsothermSegment, mu_val: float, c0: float, gamma: float, dt: flo
     Newton's method from linear interpolation in dt, bracketed between x0
     (where chi - target < 0) and x1 (where it is > 0); a step that would
     leave the bracket bisects it instead.  The arc ends return x0 and x1.
+    This is the form for one t at a time, as the integrator asks; `_arc_xs`
+    runs the same iteration over a grid of offsets and returns the same bits.
     """
     if dt <= 0.0:
         return seg.x0
@@ -648,6 +650,46 @@ def _arc_x(seg: IsothermSegment, mu_val: float, c0: float, gamma: float, dt: flo
     return x
 
 
+def _math_map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn of each element through the scalar math function: np.log and np.arctan
+    round some arguments differently, and each sample must keep its scalar bits."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _arc_xs(seg: IsothermSegment, mu_val: float, c0: float, gamma: float, dts: np.ndarray) -> np.ndarray:
+    """`_arc_x` at every offset of dts, bit for bit, as one lockstep iteration.
+
+    Each element keeps its own bracket, start, steps and stop rule; elements
+    that have stopped drop out of the active set.  chi is evaluated in the
+    order of two_level.chi, with atan and log element by element.
+    """
+    x = np.where(dts <= 0.0, seg.x0, seg.x1)
+    idx = np.flatnonzero((dts > 0.0) & (dts < seg.duration))
+    target = c0 + gamma * dts[idx]
+    a = np.full(idx.size, seg.x0)
+    b = np.full(idx.size, seg.x1)
+    xa = seg.x0 + (seg.x1 - seg.x0) * (dts[idx] / seg.duration)
+    coef = -(2.0 / mu_val)
+    for _ in range(_ARC_ITERS):
+        if not idx.size:
+            break
+        g = (coef * _math_map(math.atan, xa) + _math_map(math.log, (xa * xa + 1.0) / xa)) - target
+        root = g == 0.0
+        low = g < 0.0
+        a = np.where(low, xa, a)
+        b = np.where(low, b, xa)
+        x_new = xa - g * xa * (1.0 + xa * xa) / _chi_slope(xa, mu_val)
+        x_new = np.where((np.minimum(a, b) < x_new) & (x_new < np.maximum(a, b)), x_new, 0.5 * (a + b))
+        stop = ~root & (np.abs(x_new - xa) <= 1e-13 * xa)
+        x[idx[root]] = xa[root]
+        x[idx[stop]] = x_new[stop]
+        keep = ~(root | stop)
+        idx, target, a, b, xa = idx[keep], target[keep], a[keep], b[keep], x_new[keep]
+    else:
+        x[idx] = xa
+    return x
+
+
 @dataclass(frozen=True)
 class PlanSamples:
     """Uniform time series along a plan, suitable for export and re-plotting."""
@@ -660,24 +702,35 @@ class PlanSamples:
     q_cum: np.ndarray
 
 
-def _arc_rows(seg: IsothermSegment, baths: Baths, samples: int) -> list[tuple[float, float, float, float, float]]:
-    """(local t, u, p, q, heat since arc start) on a uniform grid along one arc."""
+def _arc_rows(seg: IsothermSegment, baths: Baths, samples: int) -> tuple[np.ndarray, ...]:
+    """Columns (local t, u, p, q, heat since arc start) on a uniform grid along one arc.
+
+    Each column holds the bits that isotherm_p, _q_of_x and xi give at the
+    sample's x; a population outside [0, 1] raises isotherm_p's ValueError
+    for the first sample where it occurs.
+    """
     beta = baths.beta(seg.branch.kind)
     mu_val = _mu_on(seg.branch, seg.K, baths)
     c0 = chi(seg.x0, mu_val)
     xi0 = xi(seg.x0, mu_val)
-    rows = []
-    for dt in np.linspace(0.0, seg.duration, max(samples, 2)).tolist():
-        x = _arc_x(seg, mu_val, c0, baths.gamma, dt)
-        u_val = (2.0 / beta) * math.log(x)
-        q = _q_of_x(x, u_val, mu_val, beta)
-        rows.append((dt, u_val, isotherm_p(x, mu_val), q, (xi(x, mu_val) - xi0) / beta))
-    return rows
+    dt = np.linspace(0.0, seg.duration, max(samples, 2))
+    x = _arc_xs(seg, mu_val, c0, baths.gamma, dt)
+    x2 = x * x
+    log_x = _math_map(math.log, x)
+    u = (2.0 / beta) * log_x
+    p = (1.0 - mu_val * x) / (1.0 + x2)
+    bad = np.flatnonzero((p < -1e-12) | (p > 1.0 + 1e-12))
+    if bad.size:
+        isotherm_p(float(x[bad[0]]), mu_val)  # raises its range error for this sample
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    atan_x = _math_map(math.atan, x)
+    xi_x = (-2.0 * mu_val * atan_x + (2.0 * x * (x + mu_val) / (1.0 + x2)) * log_x) - _math_map(math.log, 1.0 + x2)
+    return dt, u, p, _q_of_x(x, u, mu_val, beta), (xi_x - xi0) / beta
 
 
-def _rows_by_arc(plan: TrajectoryPlan, samples: int) -> dict[IsothermSegment, list[tuple]]:
-    """Rows of each distinct arc of the plan; repeated cycles share their arcs."""
-    rows: dict[IsothermSegment, list[tuple]] = {}
+def _rows_by_arc(plan: TrajectoryPlan, samples: int) -> dict[IsothermSegment, tuple[np.ndarray, ...]]:
+    """Sample columns of each distinct arc of the plan; repeated cycles share their arcs."""
+    rows: dict[IsothermSegment, tuple[np.ndarray, ...]] = {}
     for entry in plan.segments:
         if isinstance(entry, IsothermSegment) and entry not in rows:
             rows[entry] = _arc_rows(entry, plan.baths, samples)
@@ -695,8 +748,10 @@ def _plan_rows(plan: TrajectoryPlan, samples: int) -> Iterator[tuple[float, floa
             for u_val in (entry.u_from, entry.u_to):
                 yield t0, u_val, entry.p, _q_at(plan, entry, u_val), branch_label, heat_acc
             continue
-        for dt, u_val, p, q, dq in rows[entry]:
-            yield t0 + dt, u_val, p, q, entry.branch.kind, heat_acc + dq
+        dt, u, p, q, dq = rows[entry]
+        columns = ((t0 + dt).tolist(), u.tolist(), p.tolist(), q.tolist(), (heat_acc + dq).tolist())
+        for t, u_val, p_val, q_val, heat in zip(*columns):
+            yield t, u_val, p_val, q_val, entry.branch.kind, heat
         t0 += entry.duration
         heat_acc += entry.heat
 
@@ -769,11 +824,11 @@ def plan_to_protocol(plan: TrajectoryPlan) -> Protocol:
     return Protocol(pieces=pieces)
 
 
-def _arc_stack(seg: IsothermSegment, rows: list[tuple], gamma: float) -> pmp.TrajectoryNode:
+def _arc_stack(seg: IsothermSegment, rows: tuple[np.ndarray, ...], gamma: float) -> pmp.TrajectoryNode:
     """The samples of one arc as one node: rho, pi and u stacked along a leading
     axis, t the local times."""
-    dt, u, p, q, _ = np.array(rows).T
-    rho = np.zeros((len(rows), 2, 2), dtype=complex)
+    dt, u, p, q, _ = rows
+    rho = np.zeros((dt.size, 2, 2), dtype=complex)
     pi = np.zeros_like(rho)
     rho[:, 0, 0], rho[:, 1, 1] = 1.0 - p, p
     pi[:, 0, 0], pi[:, 1, 1] = q, -q

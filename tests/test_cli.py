@@ -166,6 +166,23 @@ class TestTrajectoryCommand:
         digest = hashlib.sha256((tmp_path / "plan.json").read_bytes()).hexdigest()
         assert digest == "b5c886c75c755e4f155636200b73b1b5ac5005e291c65ea78d99644ca890aab1"
 
+    @pytest.mark.parametrize(
+        "cycles, digest",
+        [
+            ("0", "ef7e40e5dd15f8e1f4de4c0d9141ec1725a2f14cd23116d38f307119142ddd51"),
+            ("3", "a0bf33dd30cea99d109165825d9b716b52a7451bd52d0ef9ccdfecefabfe7d3c"),
+        ],
+    )
+    def test_worked_csv_pinned(self, capsys, tmp_path, cycles, digest):
+        # every sampled value of the default 1000 samples per arc, to the byte
+        code, _, _ = run_cli(
+            capsys, "trajectory", "--z", "0.3", "--K", "-0.05",
+            "--p-in", "0.07", "--u-in", "1", "--p-out", "0.26", "--u-out", "6",
+            "--cycles", cycles, "--out-prefix", str(tmp_path / "plan"),
+        )
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "plan.csv").read_bytes()).hexdigest() == digest
+
     def test_unreachable_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "trajectory", "--z", "0.3", "--K", "-0.2",

@@ -24,7 +24,7 @@ from pmp_thermo.lindblad import (
     write_trajectory_csv,
 )
 from pmp_thermo.two_level import COLD, Baths, mu, segment_from_populations
-from pmp_thermo.planner import TrajectoryPlan, plan_to_protocol
+from pmp_thermo.planner import TrajectoryPlan, build_trajectory, plan_to_protocol
 
 
 def random_density(rng, dim=2):
@@ -586,3 +586,30 @@ class TestIntegrateAgainstReference:
             integrate(rho0, Protocol(pieces=[blow_up]), TwoLevelResetModel(baths03))
         assert type(err.value) is IntegrationError
         assert err.value.t == float(np.linspace(0.0, 1.0, 50)[24])
+
+
+def test_rates_checked_once_per_piece(baths03, monkeypatch):
+    # a piece's rates are fixed, so integrate validates them with one ControlVector
+    # per piece; the right-hand side checks only that u is finite.  Each output
+    # sample's u still goes through one.
+    plan = build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, 3, baths03)
+    protocol = plan_to_protocol(plan)
+    built = []
+    rhs_calls = []
+
+    class Spy(ControlVector):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    generator = lindblad._generator
+
+    def counting_generator(*args):
+        rhs_calls.append(None)
+        return generator(*args)
+
+    monkeypatch.setattr(lindblad, "ControlVector", Spy)
+    monkeypatch.setattr(lindblad, "_generator", counting_generator)
+    rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
+    res = integrate(rho0, protocol, TwoLevelResetModel(baths03))
+    assert len(built) <= len(protocol.pieces) + res.t.size < len(rhs_calls)

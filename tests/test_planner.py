@@ -30,6 +30,8 @@ from pmp_thermo.two_level import (
     COLD,
     HOT,
     Baths,
+    IsothermSegment,
+    _q_of_x,
     chi,
     find_jump_points,
     isotherm_p,
@@ -37,6 +39,7 @@ from pmp_thermo.two_level import (
     mu,
     segment_from_populations,
     solve_engine,
+    xi,
 )
 
 K_REF = -0.05
@@ -404,12 +407,37 @@ class TestSamplingAndExport:
         assert lines[1] == "t,u,p,q,branch,Qcum"
 
 
+def _reference_arc_rows(seg, baths, samples):
+    """_arc_rows as it was before it sampled an arc as one array: a scalar
+    inversion and scalar closed forms per sample, one row tuple each."""
+    beta = baths.beta(seg.branch.kind)
+    mu_val = mu(seg.K, beta, seg.branch, baths.gamma)
+    c0 = chi(seg.x0, mu_val)
+    xi0 = xi(seg.x0, mu_val)
+    rows = []
+    for dt in np.linspace(0.0, seg.duration, max(samples, 2)).tolist():
+        x = planner._arc_x(seg, mu_val, c0, baths.gamma, dt)
+        u_val = (2.0 / beta) * math.log(x)
+        q = _q_of_x(x, u_val, mu_val, beta)
+        rows.append((dt, u_val, isotherm_p(x, mu_val), q, (xi(x, mu_val) - xi0) / beta))
+    return rows
+
+
+def _reference_rows_by_arc(plan, samples):
+    """Rows of each distinct arc, from _reference_arc_rows."""
+    rows = {}
+    for entry in plan.segments:
+        if isinstance(entry, IsothermSegment) and entry not in rows:
+            rows[entry] = _reference_arc_rows(entry, plan.baths, samples)
+    return rows
+
+
 def _reference_sample_plan(plan, samples_per_segment=1000):
     """sample_plan as it was before the row walk: six parallel lists."""
     ts, us, ps, qs, brs, qcums = [], [], [], [], [], []
     t0 = 0.0
     heat_acc = 0.0
-    rows = planner._rows_by_arc(plan, samples_per_segment)
+    rows = _reference_rows_by_arc(plan, samples_per_segment)
     for entry in plan.segments:
         if isinstance(entry, planner.AdiabaticJump):
             branch_label = (entry.to_branch or entry.from_branch or COLD).kind
@@ -547,12 +575,91 @@ class TestArcKernel:
         assert res.ledger.heat_released == pytest.approx(plan.total_heat, rel=1e-6)
 
 
+class TestStackedSampler:
+    """_arc_xs and _arc_rows give the bits of the scalar kernel and the scalar row loop."""
+
+    @pytest.mark.parametrize("z", [0.1, 0.3, 0.9])
+    @pytest.mark.parametrize("k_frac", [0.99, 0.5, 1e-3])
+    @pytest.mark.parametrize("samples", [2, 3, 1000])
+    def test_inversion_matches_scalar_kernel(self, z, k_frac, samples):
+        # the hot edge (p -> 0), x -> 1 and small |K| are all among these arcs
+        baths, segs = _kernel_arcs(z, k_frac)
+        for seg in segs:
+            mu_val = mu(seg.K, baths.beta(seg.branch.kind), seg.branch, baths.gamma)
+            c0 = chi(seg.x0, mu_val)
+            dts = np.linspace(0.0, seg.duration, samples)
+            want = np.array([planner._arc_x(seg, mu_val, c0, baths.gamma, dt) for dt in dts.tolist()])
+            got = planner._arc_xs(seg, mu_val, c0, baths.gamma, dts)
+            assert got.dtype == want.dtype and np.array_equal(got, want), seg
+            rows = np.array(_reference_arc_rows(seg, baths, samples)).T
+            for got_col, want_col in zip(planner._arc_rows(seg, baths, samples), rows):
+                assert got_col.shape == (samples,) and np.array_equal(got_col, want_col), seg
+
+    @pytest.mark.parametrize("iters", [0, 1, 2])
+    def test_step_cap_matches_scalar_kernel(self, monkeypatch, iters):
+        # elements still active when the cap is reached keep their latest x
+        monkeypatch.setattr(planner, "_ARC_ITERS", iters)
+        baths, segs = _kernel_arcs(0.3, 0.5)
+        for seg in segs:
+            mu_val = mu(seg.K, baths.beta(seg.branch.kind), seg.branch, baths.gamma)
+            c0 = chi(seg.x0, mu_val)
+            dts = np.linspace(0.0, seg.duration, 50)
+            want = [planner._arc_x(seg, mu_val, c0, baths.gamma, dt) for dt in dts.tolist()]
+            assert planner._arc_xs(seg, mu_val, c0, baths.gamma, dts).tolist() == want
+
+    def test_offsets_outside_the_arc_give_its_ends(self, baths03):
+        seg = build_trajectory(*ENDPOINTS.values(), K_REF, 0, baths03).arcs[0]
+        mu_val = mu(seg.K, baths03.beta(seg.branch.kind), seg.branch, baths03.gamma)
+        c0 = chi(seg.x0, mu_val)
+        dts = np.array([-1.0, 0.0, 0.5 * seg.duration, seg.duration, 2.0 * seg.duration])
+        want = [planner._arc_x(seg, mu_val, c0, baths03.gamma, dt) for dt in dts.tolist()]
+        assert planner._arc_xs(seg, mu_val, c0, baths03.gamma, dts).tolist() == want
+
+    @pytest.mark.parametrize("case", ["beyond-hot-edge", "runs-past-hot-edge", "beyond-cold-edge"])
+    def test_population_range_check_raises_as_scalar_loop(self, baths03, case):
+        # arcs that leave [0, 1]: starting past the hot edge x = 1/mu_h or below the
+        # cold edge x = |mu_c|, or running against the flow past the hot edge, where
+        # the first failing sample is an interior one
+        K = K_REF
+        branch = COLD if case == "beyond-cold-edge" else HOT
+        mu_val = mu(K, baths03.beta(branch.kind), branch, baths03.gamma)
+        x0, x1 = {
+            "beyond-hot-edge": (1.01 / mu_val, 0.5 / mu_val),
+            "runs-past-hot-edge": (0.9 / mu_val, 1.05 / mu_val),
+            "beyond-cold-edge": (0.99 * abs(mu_val), 2.0),
+        }[case]
+        duration = abs(chi(x1, mu_val) - chi(x0, mu_val)) / baths03.gamma
+        seg = IsothermSegment(branch=branch, K=K, x0=x0, x1=x1, duration=duration, heat=0.0)
+        with pytest.raises(ValueError) as want:
+            _reference_arc_rows(seg, baths03, 50)
+        with pytest.raises(ValueError) as got:
+            planner._arc_rows(seg, baths03, 50)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        assert "outside [0, 1]" in str(got.value)
+
+
+def _reference_plan_nodes(plan, samples_per_segment=50):
+    """plan_nodes built node by node from the rows of _reference_arc_rows."""
+    gamma = plan.baths.gamma
+    rows = _reference_rows_by_arc(plan, samples_per_segment)
+    nodes = []
+    t0 = 0.0
+    for arc in plan.arcs:
+        control = dict(gamma_c=gamma, gamma_h=0.0) if arc.is_cold else dict(gamma_c=0.0, gamma_h=gamma)
+        for dt, u_val, p, q, _ in rows[arc]:
+            rho = np.diag([1.0 - p, p]).astype(complex)
+            pi = np.diag([q, -q]).astype(complex)
+            nodes.append(pmp.TrajectoryNode(t=t0 + dt, rho=rho, pi=pi, control=pmp.ControlVector(u=[u_val], **control)))
+        t0 += arc.duration
+    return nodes
+
+
 def _reference_validate(plan, samples_per_segment=200):
     """The per-node loop validate_plan ran before it stacked each distinct arc."""
     model = TwoLevelResetModel(plan.baths)
     dp, dq = plan.continuity_errors()
     worst_sign = 0.0
-    nodes = planner.plan_nodes(plan, samples_per_segment)
+    nodes = _reference_plan_nodes(plan, samples_per_segment)
     cons = pmp.conserved_k_residual(nodes, plan.K, model)
     stat = max((pmp.stationarity_residual(n, model) for n in nodes), default=0.0)
     for node in nodes:
@@ -593,6 +700,14 @@ class TestStackedValidation:
         baths = Baths.from_ratio(z)
         plan = build_trajectory(p_in, u_in, p_out, u_out, k_frac * solve_engine(z).K_star, n_cycles, baths)
         assert validate_plan(plan, samples) == _reference_validate(plan, samples)
+
+    def test_plan_nodes_match_node_by_node_build(self, reference_plan):
+        got, want = planner.plan_nodes(reference_plan, 20), _reference_plan_nodes(reference_plan, 20)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.t == b.t and np.array_equal(a.rho, b.rho) and np.array_equal(a.pi, b.pi)
+            assert np.array_equal(a.control.u, b.control.u)
+            assert (a.control.gamma_c, a.control.gamma_h) == (b.control.gamma_c, b.control.gamma_h)
 
     def test_one_stack_per_distinct_arc(self, baths03, monkeypatch):
         # repeated cycles share their arcs, and a residual does not depend on t

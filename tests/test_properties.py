@@ -128,19 +128,24 @@ def test_oracle_never_beats_plan(z, k_frac, p_in, u_in, p_out, u_out):
     p_out=st.floats(min_value=0.25, max_value=0.27),
     u_out=st.floats(min_value=5.0, max_value=7.0),
     n_cycles=st.integers(min_value=0, max_value=2),
+    beta_c=scales,
+    gamma=scales,
 )
-def test_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles):
-    # endpoints around the worked instance; the master equation along the plan
-    # reproduces its heat and endpoint, and the sampled nodes meet the PMP conditions
-    baths = Baths.from_ratio(z)
-    plan = build_trajectory(p_in, u_in, p_out, u_out, k_frac * solve_engine(z).K_star, n_cycles, baths)
+def test_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, beta_c, gamma):
+    # endpoints around the worked instance, gaps in units 1/beta_c; the master
+    # equation along the plan reproduces its heat and endpoint, and the sampled
+    # nodes meet the PMP conditions.  Heats and costates scale as 1/beta_c, K as
+    # gamma/beta_c, so do the bounds.
+    baths = Baths.from_ratio(z, beta_c=beta_c, gamma=gamma)
+    K = k_frac * solve_engine(z, beta_c=beta_c, gamma=gamma).K_star
+    plan = build_trajectory(p_in, u_in / beta_c, p_out, u_out / beta_c, K, n_cycles, baths)
     rho0 = np.diag([1.0 - p_in, p_in]).astype(complex)
     res = integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths))
     assert abs(res.ledger.heat_released - plan.total_heat) <= 1e-6 * abs(plan.total_heat)
-    assert abs(res.ledger.first_law_residual) <= 1e-8
+    assert abs(res.ledger.first_law_residual) <= 1e-8 / beta_c
     assert abs(res.final_state[1, 1].real - p_out) <= 1e-8
     report = validate_plan(plan)
     assert report["max_dp"] < 1e-12
-    assert report["max_dq"] < 1e-9
-    assert report["max_conservation"] < 1e-9
-    assert report["max_bang_bang_violation"] <= 1e-12
+    assert report["max_dq"] < 1e-9 / beta_c
+    assert report["max_conservation"] < 1e-9 * gamma / beta_c
+    assert report["max_bang_bang_violation"] <= 1e-12 / beta_c
