@@ -57,6 +57,6 @@ from .planner import (
     monotonicity_profile,
     plan_for_deadline,
 )
-from .bruteforce import BangProtocol, ProtocolGrid, grid_search, local_refine
+from .bruteforce import BangProtocol, ProtocolGrid, grid_search
 
 __version__ = "0.1.0"

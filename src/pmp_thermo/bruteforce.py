@@ -8,14 +8,13 @@ search is evidence at grid resolution, not an optimality proof.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
+from .lindblad import TwoLevelResetModel
 from .two_level import Baths
 
 __all__ = [
@@ -24,10 +23,8 @@ __all__ = [
     "GridSearchResult",
     "InfeasibleTarget",
     "single_switch_patterns",
-    "all_patterns",
     "simulate_bang_protocol",
     "grid_search",
-    "local_refine",
     "comparison_report",
 ]
 
@@ -56,11 +53,6 @@ def single_switch_patterns(n_intervals: int) -> tuple[tuple[str, ...], ...]:
     for k in range(n_intervals + 1):
         out.append(tuple(["cold"] * k + ["hot"] * (n_intervals - k)))
     return tuple(out)
-
-
-def all_patterns(n_intervals: int) -> tuple[tuple[str, ...], ...]:
-    """Every bath assignment; 2^n patterns, meant for small n only."""
-    return tuple(itertools.product(("cold", "hot"), repeat=n_intervals))
 
 
 @dataclass(frozen=True)
@@ -111,17 +103,17 @@ class BangProtocol:
         return sum(self.durations)
 
 
-def _p_eq(u: float, beta: float) -> float:
-    return 0.5 * (1.0 - math.tanh(0.5 * beta * u))
-
-
 def simulate_bang_protocol(p0: float, protocol: BangProtocol, baths: Baths) -> tuple[float, float]:
-    """Exact final population and released heat of one protocol."""
+    """Exact final population and released heat of one protocol.
+
+    Each interval relaxes toward the reset model's excited Gibbs weight, which
+    keeps its relative accuracy at any finite gap.
+    """
+    model = TwoLevelResetModel(baths)
     p = p0
     heat = 0.0
     for dt, u, kind in zip(protocol.durations, protocol.u_values, protocol.baths_pattern):
-        beta = baths.beta(kind)
-        peq = _p_eq(u, beta)
+        peq = float(model.equilibrium(u, kind)[1, 1].real)
         p_new = peq + (p - peq) * math.exp(-baths.gamma * dt)
         heat += -u * (p_new - p)
         p = p_new
@@ -238,9 +230,9 @@ def grid_search(
     # 1e-9 (1 + |q| + max |u|) of the least affine heat are re-stepped
     heat_scale = 1.0 + float(np.abs(levels).max())
 
-    peq_by_kind = {
-        kind: np.array([_p_eq(u, baths.beta(kind)) for u in levels]) for kind in ("cold", "hot")
-    }
+    # excited Gibbs weights per level, with the bits simulate_bang_protocol gets one level at a time
+    model = TwoLevelResetModel(baths)
+    peq_by_kind = {kind: model.equilibrium(levels[:, None], kind)[:, 1, 1].real for kind in ("cold", "hot")}
     firsts, seconds = {}, {}  # halves by bath sequence, shared between patterns
 
     best = (math.inf, 0, 0)  # (heat, pattern index, protocol code)
@@ -320,73 +312,6 @@ def grid_search(
         n_feasible=n_feasible,
         wall_time=wall,
     )
-
-
-def local_refine(
-    protocol: BangProtocol,
-    p_in: float,
-    p_out: float,
-    baths: Baths,
-    p_tol: float = 1e-3,
-    step_schedule: Sequence[float] = (0.1, 0.03, 0.01, 0.003, 0.001),
-    history: list[float] | None = None,
-) -> tuple[BangProtocol, float]:
-    """Deterministic coordinate descent on gap levels and interior boundaries.
-
-    Each move must keep the target reachable and strictly lower the heat, so
-    the returned heat never exceeds the seed's.  Durations trade time between
-    neighboring intervals, preserving the total.  Each step size sweeps until
-    a sweep improves nothing, at most 40 times.  When `history` is given,
-    the heat after every accepted move is appended to it.
-    """
-    def q_of(proto: BangProtocol) -> float:
-        p_final, heat = simulate_bang_protocol(p_in, proto, baths)
-        if abs(p_final - p_out) > p_tol:
-            return math.inf
-        return heat
-
-    current = protocol
-    q_current = q_of(current)
-    if not math.isfinite(q_current):
-        raise InfeasibleTarget(closest=abs(simulate_bang_protocol(p_in, current, baths)[0] - p_out), target=p_out)
-    if history is not None:
-        history.append(q_current)
-
-    def accept(cand: BangProtocol, q_cand: float):
-        nonlocal current, q_current
-        current, q_current = cand, q_cand
-        if history is not None:
-            history.append(q_cand)
-
-    n = len(current.durations)
-    for step in step_schedule:
-        for _ in range(40):
-            improved = False
-            for i in range(n):
-                for delta in (+step, -step):
-                    u_try = list(current.u_values)
-                    u_try[i] = max(0.0, u_try[i] * (1.0 + delta)) if u_try[i] != 0.0 else max(0.0, delta)
-                    cand = replace(current, u_values=tuple(u_try))
-                    q_cand = q_of(cand)
-                    if q_cand < q_current:
-                        accept(cand, q_cand)
-                        improved = True
-            for i in range(n - 1):
-                shift = step * current.tau / n
-                for delta in (+shift, -shift):
-                    d_try = list(current.durations)
-                    if d_try[i] + delta <= 0.0 or d_try[i + 1] - delta <= 0.0:
-                        continue
-                    d_try[i] += delta
-                    d_try[i + 1] -= delta
-                    cand = replace(current, durations=tuple(d_try))
-                    q_cand = q_of(cand)
-                    if q_cand < q_current:
-                        accept(cand, q_cand)
-                        improved = True
-            if not improved:
-                break
-    return current, q_current
 
 
 def comparison_report(q_pmp: float, result: GridSearchResult) -> dict:

@@ -21,16 +21,13 @@ import numpy as np
 
 from . import bruteforce, planner, two_level
 from .lindblad import TwoLevelResetModel, integrate
+from .planner import _fmt
 from .two_level import Baths, SolverError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -9,7 +9,6 @@ keeping first-law closure at integrator order.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -32,7 +31,6 @@ __all__ = [
     "check_density_matrix",
     "lindblad_rhs",
     "integrate",
-    "write_trajectory_csv",
 ]
 
 _TRACE_DRIFT_LIMIT = 1e-8
@@ -428,28 +426,3 @@ def integrate(
         ledger=ledger,
     )
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
-
-
-def write_trajectory_csv(result: IntegrationResult, fileobj: io.TextIOBase, beta_c: float = 1.0, gamma: float = 1.0) -> None:
-    """Trajectory export: populations expanded per level, 15 significant digits."""
-    dim = result.states.shape[1]
-    n_controls = result.u.shape[1]
-    fileobj.write(f"# units: time 1/gamma (gamma={_fmt(gamma)}), energy 1/beta_c (beta_c={_fmt(beta_c)}), rates gamma\n")
-    u_cols = "u" if n_controls == 1 else ",".join(f"u{k}" for k in range(n_controls))
-    p_cols = ",".join(f"p{i}" for i in range(dim))
-    fileobj.write(f"t,{u_cols},gamma_c,gamma_h,{p_cols},Qcum,Wcum\n")
-    for i in range(result.t.size):
-        pops = result.states[i].diagonal().real
-        row = [
-            _fmt(result.t[i]),
-            *(_fmt(v) for v in result.u[i]),
-            _fmt(result.gamma_c[i]),
-            _fmt(result.gamma_h[i]),
-            *(_fmt(v) for v in pops),
-            _fmt(result.q_cum[i]),
-            _fmt(result.w_cum[i]),
-        ]
-        fileobj.write(",".join(row) + "\n")

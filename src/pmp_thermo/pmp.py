@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import ControlVector, TwoLevelResetModel, lindblad_rhs
+from .lindblad import ControlVector, TwoLevelResetModel, _trace, lindblad_rhs
 from .two_level import Baths
 
 __all__ = [
@@ -49,15 +49,11 @@ def costate_matrix(q: float) -> np.ndarray:
     return np.diag([q, -q]).astype(complex)
 
 
-def _trace(m: np.ndarray) -> np.ndarray:
-    """Trace over the last two axes, of one matrix or of each matrix of a stack."""
-    return np.trace(m, axis1=-2, axis2=-1)
-
-
-def _real(value: np.ndarray) -> float | np.ndarray:
-    """Real part: a float for one state, an array for a stack."""
+def _real(value: complex | np.ndarray) -> float | np.ndarray:
+    """Real part of traces: a float for one state; for a stack, an array in the
+    stack's axis order, which _trace reverses."""
     value = np.real(value)
-    return float(value) if value.ndim == 0 else value
+    return float(value) if np.ndim(value) == 0 else value.T
 
 
 def pseudo_hamiltonian(

@@ -1,6 +1,8 @@
+import itertools
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,12 @@ from pmp_thermo.bruteforce import (
     GridSearchResult,
     InfeasibleTarget,
     ProtocolGrid,
-    all_patterns,
     comparison_report,
     grid_search,
-    local_refine,
     simulate_bang_protocol,
     single_switch_patterns,
 )
+from pmp_thermo.lindblad import TwoLevelResetModel
 from pmp_thermo.planner import build_trajectory
 from pmp_thermo.two_level import Baths
 
@@ -34,22 +35,14 @@ def worked():
     return baths, plan
 
 
-def pmp_shaped_seed(plan, baths, n_total):
-    """Discretize the planned schedule, aligning interval edges with the arcs."""
-    from pmp_thermo.planner import _arc_controls
+def all_patterns(n_intervals):
+    """Every bath assignment, 2^n patterns."""
+    return tuple(itertools.product(("cold", "hot"), repeat=n_intervals))
 
-    durations, us, kinds = [], [], []
-    t0 = 0.0
-    for arc in plan.arcs:
-        n_i = max(1, round(n_total * arc.duration / plan.total_time))
-        u_of_t, _ = _arc_controls(arc, baths, t0)
-        dt = arc.duration / n_i
-        for j in range(n_i):
-            durations.append(dt)
-            us.append(u_of_t(t0 + (j + 0.5) * dt))
-            kinds.append(arc.branch.kind)
-        t0 += arc.duration
-    return BangProtocol(durations=tuple(durations), u_values=tuple(us), baths_pattern=tuple(kinds))
+
+def excited_weight(u, kind, baths):
+    """The reset model's excited Gibbs weight, one level at a time."""
+    return float(TwoLevelResetModel(baths).equilibrium(u, kind)[1, 1].real)
 
 
 def _reference_grid_search(p_in, p_out, grid, baths, p_tol=1e-3):
@@ -61,9 +54,7 @@ def _reference_grid_search(p_in, p_out, grid, baths, p_tol=1e-3):
     dt = grid.tau / n
     decay = math.exp(-baths.gamma * dt)
     total = n_levels**n
-    peq_by_kind = {
-        kind: np.array([bruteforce._p_eq(u, baths.beta(kind)) for u in levels]) for kind in ("cold", "hot")
-    }
+    peq_by_kind = {kind: np.array([excited_weight(u, kind, baths) for u in levels]) for kind in ("cold", "hot")}
     best_q, best_key, best_p = math.inf, None, math.nan
     closest = math.inf
     n_feasible = 0
@@ -139,6 +130,38 @@ class TestSimulation:
         expected = p_eq + (p0 - p_eq) * math.exp(-dt)
         assert p_final == pytest.approx(expected, abs=1e-15)
         assert heat == pytest.approx(-u * (expected - p0), abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["cold", "hot"])
+    @pytest.mark.parametrize("beta_u", [11.0, 40.0, 80.0, 700.0])
+    def test_large_gap_against_mpmath(self, kind, beta_u):
+        # 0.5 (1 - tanh(beta u / 2)) was 1.5e-12 relative off at beta u = 11 and
+        # rounded the weight to 0 at 40 and 80, leaving only the e^{-200} memory of p0
+        baths = Baths(beta_c=1.0, beta_h=0.5)
+        u = beta_u / baths.beta(kind)
+        proto = BangProtocol(durations=(200.0,), u_values=(u,), baths_pattern=(kind,))
+        p_final, _ = simulate_bang_protocol(0.5, proto, baths)
+        with mp.workdps(40):
+            peq = 1 / (1 + mp.exp(mp.mpf(beta_u)))
+            want = peq + (mp.mpf(0.5) - peq) * mp.exp(-200)
+        assert abs(p_final - want) <= 1e-15 * want
+
+    def test_search_weights_match_single_levels(self, worked, monkeypatch):
+        # grid_search takes the weights of all levels as one stack; each must have the bits of one level alone
+        baths, plan = worked
+        levels = (0.0, 0.5, 3.0, 11.0, 40.0, 80.0, 700.0)
+        seen = []
+        relax = bruteforce._relax
+
+        def spy(p, peq, decay):
+            seen.append(peq)
+            return relax(p, peq, decay)
+
+        monkeypatch.setattr(bruteforce, "_relax", spy)
+        grid = ProtocolGrid(1, levels, (("cold",), ("hot",)), plan.total_time)
+        grid_search(0.07, 0.26, grid, baths, p_tol=1.0)
+        assert len(seen) == 2  # one first half per bath, no second half
+        for kind, peq in zip(("cold", "hot"), seen):
+            assert np.array_equal(peq, [excited_weight(u, kind, baths) for u in levels])
 
 
 class TestGridSearch:
@@ -219,45 +242,6 @@ class TestGridSearch:
             ProtocolGrid(n_intervals=2, u_levels=tuple(np.linspace(0, 1, 13)), bath_patterns=(("cold",) * 2,), tau=1.0)
 
 
-class TestLocalRefine:
-    def test_descent_from_random_seed(self, worked, rng):
-        baths, plan = worked
-        n = 6
-        seed = BangProtocol(
-            durations=tuple([plan.total_time / n] * n),
-            u_values=tuple(float(v) for v in rng.uniform(1.0, 8.0, size=n)),
-            baths_pattern=tuple("cold" if i < n // 2 else "hot" for i in range(n)),
-        )
-        p_final, _ = simulate_bang_protocol(0.07, seed, baths)
-        p_tol = max(1e-3, 1.5 * abs(p_final - 0.26))
-        history: list[float] = []
-        refined, q_ref = local_refine(seed, 0.07, 0.26, baths, p_tol=p_tol, history=history)
-        assert len(history) > 10
-        firsts = history[:11]
-        assert all(firsts[i] > firsts[i + 1] for i in range(len(firsts) - 1))
-        assert q_ref <= history[0]
-        assert q_ref >= plan.total_heat - p_tol * max(seed.u_values) - 1e-9
-
-    def test_pmp_shaped_seed_barely_improves(self, worked):
-        # a faithful discretization of the planned schedule at a matching
-        # landing tolerance leaves the refiner almost nothing to find
-        baths, plan = worked
-        seed = pmp_shaped_seed(plan, baths, n_total=48)
-        p_final, q_seed = simulate_bang_protocol(0.07, seed, baths)
-        p_tol = max(1.5e-4, 1.5 * abs(p_final - 0.26))
-        refined, q_ref = local_refine(seed, 0.07, 0.26, baths, p_tol=p_tol)
-        assert q_ref <= q_seed
-        assert (q_seed - q_ref) / abs(plan.total_heat) < 1e-3
-
-    def test_zero_step_is_fixed_point(self, worked):
-        baths, plan = worked
-        seed = pmp_shaped_seed(plan, baths, n_total=8)
-        p_final, _ = simulate_bang_protocol(0.07, seed, baths)
-        p_tol = max(1e-3, 1.5 * abs(p_final - 0.26))
-        refined, q_ref = local_refine(seed, 0.07, 0.26, baths, p_tol=p_tol, step_schedule=(0.0,))
-        assert refined == seed
-
-
 class TestLayeredEnumeration:
     """grid_search against the digit-decoding reference, across block layouts."""
 
@@ -301,7 +285,7 @@ class TestLayeredEnumeration:
         # with equal bath temperatures every pattern releases the same heats
         _, plan = worked
         baths = Baths(beta_c=1.0, beta_h=1.0)
-        p_out = bruteforce._p_eq(4.0, baths.beta_c)
+        p_out = excited_weight(4.0, "cold", baths)
         grid = ProtocolGrid(n_intervals=4, u_levels=LEVELS_FINE, bath_patterns=all_patterns(4), tau=plan.total_time)
         res = assert_matches_reference(0.07, p_out, grid, baths, 1e-3)
         assert res.protocol.baths_pattern == grid.bath_patterns[0]
@@ -309,7 +293,7 @@ class TestLayeredEnumeration:
     def test_exact_landing_is_feasible_at_zero_tolerance(self):
         # staying at a Gibbs population lands with zero miss, which p_tol = 0 admits
         baths = Baths(beta_c=1.0, beta_h=1.0)
-        p_eq = bruteforce._p_eq(2.0, baths.beta_c)
+        p_eq = excited_weight(2.0, "cold", baths)
         grid = ProtocolGrid(n_intervals=3, u_levels=(0.0, 1.0, 2.0, 3.0), bath_patterns=all_patterns(3), tau=2.0)
         res = assert_matches_reference(p_eq, p_eq, grid, baths, 0.0)
         assert res.q_best == 0.0
@@ -372,7 +356,7 @@ class TestMeetInTheMiddle:
         levels = tuple(float(v) for v in np.linspace(0.0, 11.0, 6))
         grid = ProtocolGrid(6, levels, all_patterns(6), tau=6 * rate_time)
         assert math.exp(-rate_time) ** 3 == 0.0
-        res = assert_same_bits(0.07, bruteforce._p_eq(levels[2], baths.beta_h), grid, baths, p_tol)
+        res = assert_same_bits(0.07, excited_weight(levels[2], "hot", baths), grid, baths, p_tol)
         assert isinstance(res, GridSearchResult)
         assert isinstance(assert_same_bits(0.07, 0.26, grid, baths, p_tol), InfeasibleTarget)
 
@@ -384,7 +368,7 @@ class TestMeetInTheMiddle:
         baths = Baths(beta_c=1.0, beta_h=1.0)
         levels = (0.0, 3.0, 3.0, 6.0, 9.0, 9.0)
         grid = ProtocolGrid(n, levels, all_patterns(n), plan.total_time)
-        res = assert_same_bits(0.07, bruteforce._p_eq(3.0, 1.0), grid, baths, 1e-3)
+        res = assert_same_bits(0.07, excited_weight(3.0, "cold", baths), grid, baths, 1e-3)
         assert res.protocol.baths_pattern == grid.bath_patterns[0]
 
     @pytest.mark.parametrize("p_tol", [0.0, 1.0])

@@ -92,6 +92,13 @@ class TestSweepCommand:
         np.testing.assert_allclose(rows[:, 4], 1.0 - rows[:, 0], atol=1e-15)
         assert np.all(rows[:, 2] <= rows[:, 4] + 1e-12)
 
+    def test_sweep_csv_pinned(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--z-min", "0.2", "--z-max", "0.8", "--steps", "5", "--out", str(out))
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "88540921e06990864bf7a5fc35e19185c3b447788601de2ab5dc4b90e10b2394"
+
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--z-min", "0.9", "--z-max", "0.1", "--steps", "5")
         assert code == 2
@@ -250,6 +257,21 @@ class TestOracleCommand:
         report = json.loads(out.read_text())
         assert set(report) == {"q_pmp", "q_brute", "gap", "n_protocols_evaluated", "wall_time"}
         assert report["gap"] >= -1e-3 * 11.0
+
+    def test_worked_oracle_report_pinned(self, capsys, tmp_path):
+        # every digit of q_brute and gap; wall_time is the report's one nondeterministic field
+        out = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys, "oracle", "--z", "0.3", "--K", "-0.05",
+            "--p-in", "0.07", "--u-in", "1", "--p-out", "0.26", "--u-out", "6",
+            "--intervals", "6", "--out", str(out),
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        del report["wall_time"]
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "0eb7e5d69b60c70e66fbe46463dcd8897812e01b49f6431c68a23e7f0d363056"
 
     @pytest.mark.parametrize(
         "flag, value, message",

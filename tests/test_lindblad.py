@@ -1,4 +1,3 @@
-import io
 import math
 
 import mpmath as mp
@@ -21,7 +20,6 @@ from pmp_thermo.lindblad import (
     check_density_matrix,
     integrate,
     lindblad_rhs,
-    write_trajectory_csv,
 )
 from pmp_thermo.two_level import COLD, Baths, mu, segment_from_populations
 from pmp_thermo.planner import TrajectoryPlan, build_trajectory, plan_to_protocol
@@ -387,24 +385,6 @@ class TestValidationAndExport:
             check_density_matrix(np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))  # not Hermitian
         with pytest.raises(ValueError):
             check_density_matrix(np.diag([1.2, -0.2]).astype(complex))  # negative eigenvalue
-
-    def test_csv_export_format_and_determinism(self, baths03):
-        model = TwoLevelResetModel(baths03)
-        rho0 = np.diag([0.8, 0.2]).astype(complex)
-        proto = Protocol(pieces=[ProtocolPiece(duration=1.0, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0)])
-        res = integrate(rho0, proto, model, samples_per_piece=5)
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        write_trajectory_csv(res, buf1)
-        write_trajectory_csv(res, buf2)
-        assert buf1.getvalue() == buf2.getvalue()
-        lines = buf1.getvalue().splitlines()
-        assert lines[0].startswith("# units:")
-        assert lines[1] == "t,u,gamma_c,gamma_h,p0,p1,Qcum,Wcum"
-        assert len(lines) == 2 + 5
-        assert buf1.getvalue().endswith("\n")
-        # 15 significant digits survive a round trip
-        first_row = lines[2].split(",")
-        assert float(first_row[4]) == pytest.approx(0.8, abs=1e-14)
 
 
 def _reference_integrate(rho0, protocol, model, samples_per_piece=50):

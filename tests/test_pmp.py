@@ -339,6 +339,20 @@ class TestStackedResiduals:
         assert type(cons) is float and cons == conserved_k_residual(nodes, K_REF, model)
         assert conserved_k_residual([stack, nodes[0]], K_REF, model) == cons
 
+    @pytest.mark.parametrize("gammas", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)])
+    def test_two_leading_axes_keep_their_order(self, baths03, rng, gammas):
+        model = TwoLevelResetModel(baths03)
+        rho = np.array([diag_state(v) for v in rng.uniform(0.0, 1.0, 12)])
+        pi = np.array([costate_matrix(v) for v in rng.uniform(-3.0, 3.0, 12)])
+        u = rng.uniform(-2.0, 40.0, (12, 1))
+        flat = ControlVector(u=u, gamma_c=gammas[0], gamma_h=gammas[1])
+        grid = ControlVector(u=u.reshape(3, 4, 1), gamma_c=gammas[0], gamma_h=gammas[1])
+        rho2, pi2 = rho.reshape(3, 4, 2, 2), pi.reshape(3, 4, 2, 2)
+        ph = pseudo_hamiltonian(rho2, pi2, grid, model, lam=0.3)
+        assert np.array_equal(ph, pseudo_hamiltonian(rho, pi, flat, model, lam=0.3).reshape(3, 4))
+        a = switching_functional(rho2, pi2, grid.u, model)
+        assert np.array_equal(a, switching_functional(rho, pi, u, model).reshape(3, 4))
+
     def test_shape_mismatch_rejected(self, baths03):
         model = TwoLevelResetModel(baths03)
         rho = np.array([diag_state(0.3)] * 3)
