@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .two_level import Baths
 
@@ -344,6 +343,8 @@ def integrate(
     the last sample reached before it (the piece's start if none), for trace
     drift the first sample past the bound.
     """
+    from scipy.integrate import solve_ivp  # here, not at the top: only simulation needs scipy
+
     dim = model.dim
     n = dim * dim
     rho0 = np.asarray(rho0, dtype=complex)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import pmp
+from ._roots import brentq
 from .lindblad import Protocol, ProtocolPiece, TwoLevelResetModel
 from .two_level import (
     COLD,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+from ._roots import brentq
 
 __all__ = [
     "Baths",

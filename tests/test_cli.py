@@ -331,7 +331,44 @@ class TestDeterminismAndConfig:
         assert len(out.read_text().splitlines()) == 2 + 3
 
 
+# Run in a fresh interpreter: the CLI's commands must not load scipy, and
+# scipy.integrate arrives only with the first simulation.
+_IMPORT_PATH_SCRIPT = """
+import json, sys
+import numpy as np
+import pmp_thermo
+from pmp_thermo import cli, lindblad, planner
+
+out = sys.argv[1]
+ends = ["--p-in", "0.07", "--u-in", "1", "--p-out", "0.26", "--u-out", "6"]
+runs = [
+    ["engine", "--z", "0.3", "--out", out + "/engine.json"],
+    ["sweep", "--z-min", "0.2", "--z-max", "0.8", "--steps", "5", "--out", out + "/sweep.csv"],
+    ["oracle", "--z", "0.3", "--K", "-0.05", *ends, "--intervals", "4", "--out", out + "/oracle.json"],
+    ["trajectory", "--z", "0.3", "--K", "-0.05", *ends, "--cycles", "1", "--out-prefix", out + "/plan"],
+]
+codes = [cli.main(argv) for argv in runs]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+plan = planner.build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, 0, pmp_thermo.Baths.from_ratio(0.3))
+rho0 = np.diag([0.93, 0.07]).astype(complex)
+lindblad.integrate(rho0, planner.plan_to_protocol(plan), lindblad.TwoLevelResetModel(plan.baths))
+print(json.dumps({"codes": codes, "loaded": loaded, "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
 class TestEntryPoint:
+    def test_no_scipy_until_integrate(self, tmp_path):
+        import pmp_thermo
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pmp_thermo.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report == {"codes": [0, 0, 0, 0], "loaded": [], "integrate": True}
+
     def test_installed_script(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "pmp_thermo.cli", "engine", "--z", "0.3"],

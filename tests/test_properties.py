@@ -18,8 +18,8 @@ from pmp_thermo.bruteforce import (
     single_switch_patterns,
 )
 from pmp_thermo.lindblad import TwoLevelResetModel, integrate
-from pmp_thermo.planner import build_trajectory, plan_for_deadline, plan_to_protocol, validate_plan
-from pmp_thermo.two_level import Baths, adiabatic_f, engine_residuals, find_jump_points, solve_engine
+from pmp_thermo.planner import Unreachable, build_trajectory, plan_for_deadline, plan_to_protocol, validate_plan
+from pmp_thermo.two_level import HOT, Baths, adiabatic_f, engine_residuals, find_jump_points, mu, solve_engine
 
 ratios = st.floats(min_value=1e-4, max_value=0.9999)
 scales = st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)).map(math.exp)
@@ -132,10 +132,14 @@ def test_oracle_never_beats_plan(z, k_frac, p_in, u_in, p_out, u_out):
     gamma=scales,
 )
 def test_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, beta_c, gamma):
-    # endpoints around the worked instance, gaps in units 1/beta_c; the master
-    # equation along the plan reproduces its heat and endpoint, and the sampled
-    # nodes meet the PMP conditions.  Heats and costates scale as 1/beta_c, K as
-    # gamma/beta_c, so do the bounds.
+    # endpoints around the worked instance
+    _assert_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, beta_c, gamma)
+
+
+def _assert_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, beta_c, gamma):
+    # gaps in units 1/beta_c; the master equation along the plan reproduces its
+    # heat and endpoint, and the sampled nodes meet the PMP conditions.  Heats
+    # and costates scale as 1/beta_c, K as gamma/beta_c, so do the bounds.
     baths = Baths.from_ratio(z, beta_c=beta_c, gamma=gamma)
     K = k_frac * solve_engine(z, beta_c=beta_c, gamma=gamma).K_star
     plan = build_trajectory(p_in, u_in / beta_c, p_out, u_out / beta_c, K, n_cycles, baths)
@@ -149,3 +153,27 @@ def test_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, beta_c, 
     assert report["max_dq"] < 1e-9 / beta_c
     assert report["max_conservation"] < 1e-9 * gamma / beta_c
     assert report["max_bang_bang_violation"] <= 1e-12 / beta_c
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    z=st.floats(min_value=0.02, max_value=0.98),
+    k_frac=st.floats(min_value=0.1, max_value=0.95),
+    p_in=st.floats(min_value=8e-4, max_value=0.07),
+    u_in=st.floats(min_value=0.1, max_value=3.0),
+    p_out=st.floats(min_value=0.15, max_value=0.45),
+    u_out=st.floats(min_value=3.0, max_value=10.0),
+    n_cycles=st.integers(min_value=0, max_value=2),
+    beta_c=scales,
+    gamma=scales,
+)
+def test_plan_invariants_wide(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, beta_c, gamma):
+    # far from the worked instance: p_in down to 8e-4, z near 0 and 1, K from 0.1
+    # to 0.95 K*.  A hot arc with a non-negative gap raises p to at most
+    # (1 - mu_h)/2, so above that p_out is unreachable, and only there may the
+    # planner say so.
+    try:
+        _assert_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, beta_c, gamma)
+    except Unreachable:
+        K = k_frac * solve_engine(z, beta_c=beta_c, gamma=gamma).K_star
+        assert p_out > 0.5 * (1.0 - mu(K, z * beta_c, HOT, gamma))

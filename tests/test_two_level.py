@@ -17,6 +17,7 @@ from pmp_thermo.two_level import (
     adiabatic_f,
     asymptotic_limit,
     binary_entropy,
+    chi,
     engine_residuals,
     find_jump_points,
     isotherm_heat,
@@ -31,6 +32,7 @@ from pmp_thermo.two_level import (
     quasi_static_heat,
     segment_from_populations,
     solve_engine,
+    xi,
 )
 from pmp_thermo.two_level import _tangency_h
 
@@ -129,6 +131,58 @@ class TestGapInversion:
         for p in (0.0, 1.0):
             with pytest.raises(ValueError):
                 isotherm_x_of_p(p, -0.2)
+
+
+# 40-digit references for the closed-form kernels where they could cancel:
+# x near 1, small |mu| of either sign, populations near 0 and 1.  The bound is
+# ULPS ulps of the largest term of each formula; the worst seen were 1.70 (chi),
+# 1.75 (xi, x >= 0.1) and 1.00 (x(p), where the largest term is x itself).
+ULPS = 4.0
+KERNEL_MUS = [s * m for m in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.3, 3.0) for s in (1.0, -1.0)]
+KERNEL_PS = [1e-12, 1e-9, 1e-6, 0.3, 0.5, 0.7, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]
+NEAR_ONE = [1.0] + [1.0 + s * 10.0**-k for k in range(1, 16) for s in (1.0, -1.0)]
+KERNEL_XS = NEAR_ONE + [0.1, 0.3, 2.0, 1e3, 1e6] + [isotherm_x_of_p(p, m) for p in KERNEL_PS for m in KERNEL_MUS]
+
+
+def _chi_terms(x, m):
+    return [-(2 / m) * mp.atan(x), mp.log((x * x + 1) / x)]
+
+
+def _xi_terms(x, m):
+    return [-2 * m * mp.atan(x), 2 * x * (x + m) / (1 + x * x) * mp.log(x), -mp.log(1 + x * x)]
+
+
+def _worst_ulps(fn, terms, xs):
+    """Largest error of fn over xs x KERNEL_MUS, in ulps of the largest term."""
+    worst = 0.0
+    with mp.workdps(40):
+        for x, m in ((x, m) for x in xs for m in KERNEL_MUS):
+            parts = terms(mp.mpf(x), mp.mpf(m))
+            scale = max(abs(v) for v in parts)
+            worst = max(worst, float(abs(fn(x, m) - sum(parts)) / (scale * np.finfo(float).eps)))
+    return worst
+
+
+class TestKernelsAgainstMpmath:
+    def test_chi(self):
+        assert _worst_ulps(chi, _chi_terms, KERNEL_XS) <= ULPS
+
+    def test_xi(self):
+        assert _worst_ulps(xi, _xi_terms, [x for x in KERNEL_XS if x >= 0.1]) <= ULPS
+
+    @pytest.mark.xfail(strict=True, reason="xi takes log(1 + x*x), not log1p(x*x): below x = 1e-3 the "
+                       "rounding of 1 + x*x costs 9.7 to 1.2e13 ulps of the largest term")
+    def test_xi_small_x(self):
+        assert _worst_ulps(xi, _xi_terms, [1e-3, 1e-6, 1e-9]) <= ULPS
+
+    def test_x_of_p(self):
+        worst = 0.0
+        with mp.workdps(40):
+            for p, m in ((mp.mpf(p), mp.mpf(m)) for p in KERNEL_PS for m in KERNEL_MUS):
+                ref = (mp.sqrt(m * m + 4 * p * (1 - p)) - m) / (2 * p)
+                err = abs(isotherm_x_of_p(float(p), float(m)) - ref) / (ref * np.finfo(float).eps)
+                worst = max(worst, float(err))
+        assert worst <= ULPS
 
 
 class TestArcTimeAndHeat:
