@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._ode import dop853
 from .two_level import Baths
 
 __all__ = [
@@ -343,8 +344,6 @@ def integrate(
     the last sample reached before it (the piece's start if none), for trace
     drift the first sample past the bound.
     """
-    from scipy.integrate import solve_ivp  # here, not at the top: only simulation needs scipy
-
     dim = model.dim
     n = dim * dim
     rho0 = np.asarray(rho0, dtype=complex)
@@ -357,7 +356,7 @@ def integrate(
     # h is the Hamiltonian where the latest piece ended (at first, where the first one starts)
     h = model.hamiltonian(protocol.pieces[0].u_at(t_lo))
     energy_initial = float(np.trace(rho0 @ h).real)
-    solved = []  # (piece, solve_ivp solution) of each piece of positive duration
+    solved = []  # (piece, sample times, states) of each piece of positive duration
     us: list[np.ndarray] = []
 
     for i, piece in enumerate(protocol.pieces):
@@ -384,32 +383,31 @@ def integrate(
                 return np.concatenate([flat.real, flat.imag, [dq, dw]])
 
             flat = rho.reshape(-1)
-            sol = solve_ivp(
+            ts, ys, failure = dop853(
                 rhs,
-                (t_lo, t_hi),
+                t_lo,
+                t_hi,
                 np.concatenate([flat.real, flat.imag, [q_acc, w_acc]]),
-                method="DOP853",
-                rtol=_RTOL,
-                atol=_ATOL,
-                t_eval=np.linspace(t_lo, t_hi, max(samples_per_piece, 2)),
-                dense_output=False,
+                np.linspace(t_lo, t_hi, max(samples_per_piece, 2)),
+                _RTOL,
+                _ATOL,
             )
-            if not sol.success:
-                raise IntegrationError(f"integrator failed: {sol.message}", t=float(sol.t[-1]) if len(sol.t) else t_lo)
-            drift = np.abs(sol.y[:n : dim + 1].sum(axis=0) - 1.0)
+            if failure:
+                raise IntegrationError(f"integrator failed: {failure}", t=float(ts[-1]) if ts.size else t_lo)
+            drift = np.abs(ys[:n : dim + 1].sum(axis=0) - 1.0)
             bad = np.flatnonzero(drift > _TRACE_DRIFT_LIMIT)
             if bad.size:
-                raise TraceDriftError(f"trace drift {drift[bad[0]]:.3e}", t=float(sol.t[bad[0]]))
-            solved.append((piece, sol))
-            us.append(np.array([ControlVector(piece.u_at(t), piece.gamma_c, piece.gamma_h).u for t in sol.t]))
-            end = sol.y[:, -1]
+                raise TraceDriftError(f"trace drift {drift[bad[0]]:.3e}", t=float(ts[bad[0]]))
+            solved.append((piece, ts, ys))
+            us.append(np.array([ControlVector(piece.u_at(t), piece.gamma_c, piece.gamma_h).u for t in ts]))
+            end = ys[:, -1]
             rho = (end[:n] + 1j * end[n : 2 * n]).reshape(dim, dim)
             q_acc, w_acc = end[2 * n :]
         h = model.hamiltonian(piece.u_at(t_hi))
         t_lo = t_hi
 
-    y = np.concatenate([sol.y for _, sol in solved], axis=1)
-    sizes = [sol.t.size for _, sol in solved]
+    y = np.concatenate([ys for _, _, ys in solved], axis=1)
+    sizes = [ts.size for _, ts, _ in solved]
     ledger = ThermoLedger(
         heat_released=q_acc,
         work_done=w_acc,
@@ -417,11 +415,11 @@ def integrate(
         energy_final=float(np.trace(rho @ h).real),
     )
     return IntegrationResult(
-        t=np.concatenate([sol.t for _, sol in solved]),
+        t=np.concatenate([ts for _, ts, _ in solved]),
         states=(y[:n] + 1j * y[n : 2 * n]).T.reshape(-1, dim, dim),
         u=np.concatenate(us, axis=0),
-        gamma_c=np.repeat([piece.gamma_c for piece, _ in solved], sizes),
-        gamma_h=np.repeat([piece.gamma_h for piece, _ in solved], sizes),
+        gamma_c=np.repeat([piece.gamma_c for piece, _, _ in solved], sizes),
+        gamma_h=np.repeat([piece.gamma_h for piece, _, _ in solved], sizes),
         q_cum=y[2 * n],
         w_cum=y[2 * n + 1],
         ledger=ledger,

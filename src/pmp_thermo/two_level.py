@@ -423,9 +423,11 @@ def solve_engine(z: float, beta_c: float = 1.0, gamma: float = 1.0) -> EngineSol
     # so does the absolute tolerance, which leaves rtol in charge.
     lo = -3.0 * theta / z
     hi = -min(1e-12, 1e-3 * (1.0 - z) ** 2)
-    if adiabatic_f_min(lo, baths)[0] < 0.0:  # pragma: no cover - safety net
+    f_lo = adiabatic_f_min(lo, baths)[0]
+    if f_lo < 0.0:  # pragma: no cover - safety net
         raise SolverError(f"failed to bracket the root-merging K for z={z}")
-    K = brentq(lambda k: adiabatic_f_min(k, baths)[0], lo, hi, xtol=1e-18 * abs(hi), rtol=1e-15)
+    # brentq's first point is lo: it gets the value just computed, not a second solve
+    K = brentq(lambda k: f_lo if k == lo else adiabatic_f_min(k, baths)[0], lo, hi, xtol=1e-18 * abs(hi), rtol=1e-15)
     p = adiabatic_f_min(K, baths, xatol=1e-15)[1]
 
     # damped Newton on (f, h) with numeric Jacobian

@@ -331,8 +331,7 @@ class TestDeterminismAndConfig:
         assert len(out.read_text().splitlines()) == 2 + 3
 
 
-# Run in a fresh interpreter: the CLI's commands must not load scipy, and
-# scipy.integrate arrives only with the first simulation.
+# Run in a fresh interpreter: no command of the CLI, and no simulation, loads scipy.
 _IMPORT_PATH_SCRIPT = """
 import json, sys
 import numpy as np
@@ -346,18 +345,19 @@ runs = [
     ["sweep", "--z-min", "0.2", "--z-max", "0.8", "--steps", "5", "--out", out + "/sweep.csv"],
     ["oracle", "--z", "0.3", "--K", "-0.05", *ends, "--intervals", "4", "--out", out + "/oracle.json"],
     ["trajectory", "--z", "0.3", "--K", "-0.05", *ends, "--cycles", "1", "--out-prefix", out + "/plan"],
+    ["verify"],
 ]
 codes = [cli.main(argv) for argv in runs]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 plan = planner.build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, 0, pmp_thermo.Baths.from_ratio(0.3))
 rho0 = np.diag([0.93, 0.07]).astype(complex)
 lindblad.integrate(rho0, planner.plan_to_protocol(plan), lindblad.TwoLevelResetModel(plan.baths))
-print(json.dumps({"codes": codes, "loaded": loaded, "integrate": "scipy.integrate" in sys.modules}))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 class TestEntryPoint:
-    def test_no_scipy_until_integrate(self, tmp_path):
+    def test_no_scipy_on_any_path(self, tmp_path):
         import pmp_thermo
 
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pmp_thermo.__file__)))
@@ -367,7 +367,7 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report == {"codes": [0, 0, 0, 0], "loaded": [], "integrate": True}
+        assert report == {"codes": [0, 0, 0, 0, 0], "loaded": []}
 
     def test_installed_script(self, tmp_path):
         proc = subprocess.run(

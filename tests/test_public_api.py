@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +25,15 @@ def test_star_import():
     namespace: dict = {}
     exec("from pmp_thermo import *", namespace)
     assert "solve_engine" in namespace and "grid_search" in namespace
+
+
+@pytest.mark.parametrize("path", sorted(Path(pmp_thermo.__file__).parent.rglob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # at any depth, inside functions too: scipy is a test dependency only
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    assert not [name for name in names if name.split(".")[0] == "scipy"]
