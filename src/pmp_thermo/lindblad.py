@@ -339,10 +339,11 @@ def integrate(
     contribute work -<rho dH> at piece boundaries and no heat.  Each piece is
     solved by DOP853 at rtol 1e-9 and atol 1e-12 on the vector (re rho,
     im rho, Q, W).  Raises ValueError for an invalid initial state,
-    IntegrationError on step failure and TraceDriftError when |tr rho - 1|
-    exceeds 1e-8.  The error's `t` is an output sample: for a step failure
-    the last sample reached before it (the piece's start if none), for trace
-    drift the first sample past the bound.
+    IntegrationError on step failure or for a piece whose sample times round
+    to repeated values, and TraceDriftError when |tr rho - 1| exceeds 1e-8.
+    The error's `t` is an output sample: for a step failure the last sample
+    reached before it (the piece's start if none or if the samples repeat),
+    for trace drift the first sample past the bound.
     """
     dim = model.dim
     n = dim * dim
@@ -382,15 +383,13 @@ def integrate(
                 flat = ldot.reshape(-1)
                 return np.concatenate([flat.real, flat.imag, [dq, dw]])
 
+            # at large t or tiny durations the grid can round to repeated times
+            t_eval = np.linspace(t_lo, t_hi, max(samples_per_piece, 2))
+            if not np.all(np.diff(t_eval) > 0.0):
+                raise IntegrationError(f"piece of duration {piece.duration} has repeated sample times", t=t_lo)
             flat = rho.reshape(-1)
             ts, ys, failure = dop853(
-                rhs,
-                t_lo,
-                t_hi,
-                np.concatenate([flat.real, flat.imag, [q_acc, w_acc]]),
-                np.linspace(t_lo, t_hi, max(samples_per_piece, 2)),
-                _RTOL,
-                _ATOL,
+                rhs, t_lo, t_hi, np.concatenate([flat.real, flat.imag, [q_acc, w_acc]]), t_eval, _RTOL, _ATOL
             )
             if failure:
                 raise IntegrationError(f"integrator failed: {failure}", t=float(ts[-1]) if ts.size else t_lo)

@@ -360,11 +360,6 @@ def tangency_residual(p: float, K: float, baths: Baths) -> float:
     return abs(a_c + a_h) / max(abs(a_c), abs(a_h), 1.0)
 
 
-def _tangency_h(p: float, K: float, baths: Baths) -> float:
-    a_c, a_h = _tangency_pair(p, K, baths)
-    return a_c + a_h
-
-
 @dataclass(frozen=True)
 class EngineSolution:
     """Maximum-power working point of the cyclic two-level engine."""
@@ -401,9 +396,9 @@ def solve_engine(z: float, beta_c: float = 1.0, gamma: float = 1.0) -> EngineSol
     f and the tangency depend on K only through beta_c*K/gamma, so the solve
     runs at unit scale and K* is scaled back at the end.  The merge point is
     where the minimum of f(., K) over p crosses zero; that minimum rises
-    through zero as K falls, so one brentq in K finds it, each evaluation a
-    brentq in log p (adiabatic_f_min).  A damped Newton iteration on
-    (f, tangency) then polishes the pair.  Direct 2-D Newton from scratch is
+    through zero as K falls, so one brentq in K finds K*, each evaluation a
+    brentq in log p (adiabatic_f_min), and one more adiabatic_f_min at K*
+    gives p*.  Both solves are bracketed: a 2-D Newton on (f, tangency) is
     ill-conditioned exactly at the tangency.
 
     The SolverError gate is absolute (|f| and the tangency residual at most
@@ -429,35 +424,6 @@ def solve_engine(z: float, beta_c: float = 1.0, gamma: float = 1.0) -> EngineSol
     # brentq's first point is lo: it gets the value just computed, not a second solve
     K = brentq(lambda k: f_lo if k == lo else adiabatic_f_min(k, baths)[0], lo, hi, xtol=1e-18 * abs(hi), rtol=1e-15)
     p = adiabatic_f_min(K, baths, xatol=1e-15)[1]
-
-    # damped Newton on (f, h) with numeric Jacobian
-    for _ in range(60):
-        F = adiabatic_f(p, K, baths)
-        H = _tangency_h(p, K, baths)
-        if abs(F) < 1e-13 and tangency_residual(p, K, baths) < 1e-13:
-            break
-        hp = 1e-7 * p * (1.0 - p)
-        hk = 1e-7 * abs(K)
-        dF_dp = (adiabatic_f(p + hp, K, baths) - adiabatic_f(p - hp, K, baths)) / (2 * hp)
-        dF_dK = (adiabatic_f(p, K + hk, baths) - adiabatic_f(p, K - hk, baths)) / (2 * hk)
-        dH_dp = (_tangency_h(p + hp, K, baths) - _tangency_h(p - hp, K, baths)) / (2 * hp)
-        dH_dK = (_tangency_h(p, K + hk, baths) - _tangency_h(p, K - hk, baths)) / (2 * hk)
-        det = dF_dp * dH_dK - dF_dK * dH_dp
-        if det == 0.0 or not math.isfinite(det):
-            break
-        dp = (-F * dH_dK + H * dF_dK) / det
-        dK = (-H * dF_dp + F * dH_dp) / det
-        damp = 1.0
-        while abs(dp) * damp > 0.25 * p * (1.0 - p) or abs(dK) * damp > 0.25 * abs(K):
-            damp *= 0.5
-        p_new = p + damp * dp
-        K_new = K + damp * dK
-        if not (0.0 < p_new < 1.0) or K_new >= 0.0:
-            break
-        if abs(p_new - p) < 1e-16 * p and abs(K_new - K) < 1e-16 * abs(K):
-            p, K = p_new, K_new
-            break
-        p, K = p_new, K_new
 
     f_res = abs(adiabatic_f(p, K, baths))
     t_res = tangency_residual(p, K, baths)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pmp_thermo import two_level
 from pmp_thermo.planner import TrajectoryPlan, build_trajectory
 from pmp_thermo.two_level import COLD, HOT, Baths, isotherm_p, make_segment, mu, solve_engine
 
@@ -11,6 +12,14 @@ from pmp_thermo.two_level import COLD, HOT, Baths, isotherm_p, make_segment, mu,
 def baths03() -> Baths:
     """Reference two-bath setting used throughout: z = 0.3, beta_c = gamma = 1."""
     return Baths.from_ratio(0.3)
+
+
+@pytest.fixture
+def gate_offset(monkeypatch):
+    """Adds 1e-9 to the tangency residual.  The searches use _log_p_kernels, so
+    only solve_engine's SolverError gate sees the offset."""
+    residual = two_level.tangency_residual
+    monkeypatch.setattr(two_level, "tangency_residual", lambda p, K, baths: residual(p, K, baths) + 1e-9)
 
 
 @pytest.fixture

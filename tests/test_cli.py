@@ -75,6 +75,11 @@ class TestEngineCommand:
         assert code == 2
         assert "--z" in err
 
+    def test_solver_failure_exit_code(self, capsys, gate_offset):
+        code, out, err = run_cli(capsys, "engine", "--z", "0.3")
+        assert code == 4 and out == ""
+        assert "did not converge at z=0.3" in err
+
 
 class TestSweepCommand:
     def test_columns_and_monotone_g(self, capsys, tmp_path):
@@ -102,6 +107,14 @@ class TestSweepCommand:
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--z-min", "0.9", "--z-max", "0.1", "--steps", "5")
         assert code == 2
+
+    def test_solver_failure_rows(self, capsys, gate_offset):
+        code, out, err = run_cli(capsys, "sweep", "--z-min", "0.2", "--z-max", "0.8", "--steps", "3")
+        assert code == 4
+        lines = out.splitlines()
+        assert len(lines) == 5 and all(line.startswith("# FAILED z=") for line in lines[2:])
+        assert lines[3].startswith("# FAILED z=0.5: engine solve did not converge")
+        assert "solver failed at 3 grid point(s)" in err
 
 
 class TestIsothermCommand:

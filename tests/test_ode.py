@@ -14,7 +14,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from pmp_thermo import _ode, lindblad
-from pmp_thermo.lindblad import DiagonalResetModel, Protocol, ProtocolPiece, TwoLevelResetModel, integrate
+from pmp_thermo.lindblad import (
+    DiagonalResetModel,
+    IntegrationError,
+    Protocol,
+    ProtocolPiece,
+    TwoLevelResetModel,
+    integrate,
+)
 from pmp_thermo.planner import plan_to_protocol
 from pmp_thermo.two_level import Baths
 
@@ -164,12 +171,22 @@ def test_empty_span():
     assert t.shape == (0,) and y.shape == (3, 0) and message is None and len(calls) == 1
 
 
-def test_repeated_samples(compared, baths03):
-    # a piece a few floats long has repeated samples, which solve_ivp refuses
-    tiny = ProtocolPiece(duration=1e-15, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0)
-    with pytest.raises(ValueError, match="not properly sorted"):
-        integrate(np.diag([0.8, 0.2]).astype(complex), Protocol(pieces=[tiny], t0=1.7), TwoLevelResetModel(baths03))
-    assert len(compared) == 1
+def test_repeated_samples():
+    # a span a few floats long has repeated samples, which solve_ivp refuses
+    t_eval = np.linspace(1.7, 1.7 + 1e-15, 50)
+    (kind, message), calls = assert_same(lambda t, y: -y, 1.7, 1.7 + 1e-15, np.ones(3), t_eval,
+                                         lindblad._RTOL, lindblad._ATOL)
+    assert kind is ValueError and "not properly sorted" in message and not calls
+
+
+@pytest.mark.parametrize("t0, duration", [(1.7, 1e-15), (1e17, 1.0)])
+def test_piece_without_distinct_samples(compared, baths03, t0, duration):
+    # 1.7 + 1e-15 is a few floats on, and 1e17 + 1.0 == 1e17: integrate
+    # refuses such a piece at its start, before any solve
+    piece = ProtocolPiece(duration=duration, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0)
+    with pytest.raises(IntegrationError, match="repeated sample times") as err:
+        integrate(np.diag([0.8, 0.2]).astype(complex), Protocol(pieces=[piece], t0=t0), TwoLevelResetModel(baths03))
+    assert err.value.t == t0 and not compared
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,34 @@ def test_no_scipy_import(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
     assert not [name for name in names if name.split(".")[0] == "scipy"]
+
+
+def _private_definitions(tree):
+    """(name, node) for each private, non-dunder name a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(tree):
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    )
+
+
+def test_no_unused_private_names():
+    # a private name that src/ never reads is dead code or kept alive for a test
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(pmp_thermo.__file__).parent.rglob("*.py"))}
+    uses = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [f"{file}:{name}" for file, tree in trees.items() for name, node in _private_definitions(tree)
+              if uses[name] - _references(node)[name] <= 0]
+    assert not unused

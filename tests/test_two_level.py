@@ -14,6 +14,7 @@ from pmp_thermo.two_level import (
     Baths,
     DirectionViolation,
     NoJumpPoints,
+    SolverError,
     adiabatic_f,
     asymptotic_limit,
     binary_entropy,
@@ -34,7 +35,7 @@ from pmp_thermo.two_level import (
     solve_engine,
     xi,
 )
-from pmp_thermo.two_level import _tangency_h
+from pmp_thermo.two_level import _log_p_kernels
 
 K_REF = -0.05
 
@@ -363,8 +364,9 @@ class TestSwitchCondition:
         s = np.linspace(math.log(1e-200), math.log1p(-1e-12), 4001)
         s_mid = 0.5 * (s[1:] + s[:-1])
         for K in (-0.2, 1.001 * solve_engine(0.3).K_star, -0.05, -1e-6):
-            f = np.array([adiabatic_f(float(p), K, baths03) for p in np.exp(s)])
-            h = np.array([_tangency_h(float(p), K, baths03) for p in np.exp(s_mid)])
+            f_s, h_s = _log_p_kernels(K, baths03)
+            f = np.array([f_s(float(v)) for v in s])
+            h = np.array([h_s(float(v)) for v in s_mid])
             slope = np.diff(f)
             resolved = np.abs(slope) > 1e-9 * np.maximum(np.abs(f[1:]), 1.0)
             assert np.all(np.sign(slope[resolved]) == np.sign(h[resolved]))
@@ -403,6 +405,31 @@ def _k_star_mpmath(z, p0, k0):
 
         _, c = mp.findroot(equations, (mp.mpf(p0), mp.mpf(1)))
         return float(mp.mpf(k0) * c)
+
+
+# float.hex of (K*, p*) for (z, beta_c, gamma): z at the middle of each of the
+# benchmark's 16 engine-curve strata (log-spaced in 1e-4 ... 0.9999), one z
+# near 1, and a far unit scale at z = 0.3
+ENGINE_BITS = [
+    (0.000133352, 1.0, 1.0, '-0x1.04b4acbc802dap+9', '0x1.bdc5ad4d8a89cp-4'),
+    (0.000237135, 1.0, 1.0, '-0x1.24f782fbf1704p+8', '0x1.bd923629fd889p-4'),
+    (0.00042169, 1.0, 1.0, '-0x1.4907bd7c82dbcp+7', '0x1.bd3e1ded639a4p-4'),
+    (0.000749878, 1.0, 1.0, '-0x1.712e2353a9e82p+6', '0x1.bcb5c6697291ap-4'),
+    (0.00133348, 1.0, 1.0, '-0x1.9d92f71088096p+5', '0x1.bbdac8be565bcp-4'),
+    (0.00237129, 1.0, 1.0, '-0x1.ce16f56505f8fp+4', '0x1.ba7f03af337f4p-4'),
+    (0.00421679, 1.0, 1.0, '-0x1.01092006fae1fp+4', '0x1.b85e73017eea0p-4'),
+    (0.00749859, 1.0, 1.0, '-0x1.1bee17a39f3ecp+3', '0x1.b518ab77d04e4p-4'),
+    (0.0133345, 1.0, 1.0, '-0x1.3605e42e713c2p+2', '0x1.b02cbdc632b53p-4'),
+    (0.0237123, 1.0, 1.0, '-0x1.4c2892a4bbd92p+1', '0x1.a8fda2c843b56p-4'),
+    (0.0421669, 1.0, 1.0, '-0x1.58fa74f249c67p+0', '0x1.9eeaed94b872bp-4'),
+    (0.074984, 1.0, 1.0, '-0x1.54429948dad8fp-1', '0x1.918fad690ce12p-4'),
+    (0.133342, 1.0, 1.0, '-0x1.3338f9687af19p-2', '0x1.8137e01095de0p-4'),
+    (0.237117, 1.0, 1.0, '-0x1.d801b0da0af7dp-4', '0x1.6f7f126f6a79bp-4'),
+    (0.421658, 1.0, 1.0, '-0x1.00b674b69939ep-5', '0x1.5fb25d69d6c3cp-4'),
+    (0.749822, 1.0, 1.0, '-0x1.5834c6b22e93dp-9', '0x1.5629072c290a8p-4'),
+    (0.999999999, 1.0, 1.0, '-0x1.0346628e7a885p-65', '0x1.54e056c13846cp-4'),
+    (0.3, 250.0, 0.02, '-0x1.8204dea671cf1p-18', '0x1.68916e3eb8a5ep-4'),
+]
 
 
 class TestEngineSolver:
@@ -467,6 +494,22 @@ class TestEngineSolver:
         for z in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 solve_engine(z)
+
+    @pytest.mark.parametrize("z, beta_c, gamma, k_hex, p_hex", ENGINE_BITS)
+    def test_pinned_bits(self, z, beta_c, gamma, k_hex, p_hex):
+        sol = solve_engine(z, beta_c=beta_c, gamma=gamma)
+        assert (sol.K_star.hex(), sol.p_star.hex()) == (k_hex, p_hex)
+
+    @pytest.mark.parametrize("z", [1e-6, 3e-6, 1e-5, 5e-5])
+    def test_accuracy_at_small_ratio(self, z):
+        sol = solve_engine(z)
+        ref = _k_star_mpmath(z, sol.p_star, sol.K_star)
+        assert abs(sol.K_star - ref) <= 2e-15 * abs(ref)
+
+    def test_gate_raises_on_residual(self, gate_offset):
+        with pytest.raises(SolverError, match="did not converge at z=0.3") as err:
+            solve_engine(0.3)
+        assert err.value.residuals[0] <= 1e-10 < err.value.residuals[1]
 
 
 @pytest.fixture(scope="module")
