@@ -9,13 +9,13 @@ deadline, 4 solver or integration failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import re
 import sys
 import tempfile
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -30,13 +30,13 @@ EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write via a temporary file and rename, with the mode a plain open() would give."""
+def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
+    """Stream `write(fh)` into a temporary file and rename it, with the mode a plain open() would give."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pmp-thermo-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         # mkstemp creates 0600; the umask can only be read by setting it
         umask = os.umask(0)
         os.umask(umask)
@@ -46,6 +46,14 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _export(path: str | None, write: Callable[[TextIO], object]) -> None:
+    """Stream `write` into `path` atomically, or into stdout when no path is given."""
+    if path:
+        _atomic_write(path, write)
+    else:
+        write(sys.stdout)
 
 
 def _engine_json(sol: two_level.EngineSolution) -> str:
@@ -60,24 +68,23 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     text = _engine_json(sol)
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _export(args.out, lambda fh: fh.write(text))
     if args.schedule:
-        buf = io.StringIO()
-        buf.write(
-            f"# units: time 1/gamma (gamma={_fmt(args.gamma)}), energy 1/beta_c (beta_c={_fmt(args.beta_c)}); "
-            f"square wave between u_h_star and u_c_star, half-period delta_tau={_fmt(args.delta_tau)}\n"
-        )
-        buf.write("t,u\n")
-        t = 0.0
-        for _ in range(args.periods):
-            for u_val in (sol.u_h_star, sol.u_c_star):
-                buf.write(f"{_fmt(t)},{_fmt(u_val)}\n")
-                t += args.delta_tau
-                buf.write(f"{_fmt(t)},{_fmt(u_val)}\n")
-        _atomic_write(args.schedule, buf.getvalue())
+
+        def write_schedule(fh: TextIO) -> None:
+            fh.write(
+                f"# units: time 1/gamma (gamma={_fmt(args.gamma)}), energy 1/beta_c (beta_c={_fmt(args.beta_c)}); "
+                f"square wave between u_h_star and u_c_star, half-period delta_tau={_fmt(args.delta_tau)}\n"
+            )
+            fh.write("t,u\n")
+            t = 0.0
+            for _ in range(args.periods):
+                for u_val in (sol.u_h_star, sol.u_c_star):
+                    fh.write(f"{_fmt(t)},{_fmt(u_val)}\n")
+                    t += args.delta_tau
+                    fh.write(f"{_fmt(t)},{_fmt(u_val)}\n")
+
+        _atomic_write(args.schedule, write_schedule)
     return EXIT_OK
 
 
@@ -88,32 +95,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         print("error: steps must be >= 2", file=sys.stderr)
         return EXIT_USAGE
-    buf = io.StringIO()
-    buf.write(
-        f"# units: g dimensionless (K_star = -g * gamma/beta_c), efficiencies dimensionless; "
-        f"beta_c={_fmt(args.beta_c)}, gamma={_fmt(args.gamma)}\n"
-    )
-    buf.write("z,g,eta_star,eta_ca,eta_carnot\n")
     failed = []
-    for z in np.linspace(args.z_min, args.z_max, args.steps):
-        try:
-            res = two_level.solve_engine(float(z), beta_c=args.beta_c, gamma=args.gamma)
-        except SolverError as exc:
-            failed.append(float(z))
-            buf.write(f"# FAILED z={_fmt(float(z))}: {exc}\n")
-            continue
-        buf.write(
-            ",".join(
-                _fmt(v)
-                for v in (res.z, res.g, res.eta_star, res.eta_curzon_ahlborn, res.eta_carnot)
-            )
-            + "\n"
+
+    def write(fh: TextIO) -> None:
+        fh.write(
+            f"# units: g dimensionless (K_star = -g * gamma/beta_c), efficiencies dimensionless; "
+            f"beta_c={_fmt(args.beta_c)}, gamma={_fmt(args.gamma)}\n"
         )
-    text = buf.getvalue()
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+        fh.write("z,g,eta_star,eta_ca,eta_carnot\n")
+        for z in np.linspace(args.z_min, args.z_max, args.steps):
+            try:
+                res = two_level.solve_engine(float(z), beta_c=args.beta_c, gamma=args.gamma)
+            except SolverError as exc:
+                failed.append(float(z))
+                fh.write(f"# FAILED z={_fmt(float(z))}: {exc}\n")
+                continue
+            fh.write(
+                ",".join(
+                    _fmt(v)
+                    for v in (res.z, res.g, res.eta_star, res.eta_curzon_ahlborn, res.eta_carnot)
+                )
+                + "\n"
+            )
+
+    _export(args.out, write)
     if failed:
         print(f"error: solver failed at {len(failed)} grid point(s)", file=sys.stderr)
         return EXIT_SOLVER
@@ -140,12 +145,7 @@ def _cmd_isotherm(args: argparse.Namespace) -> int:
         p_in=two_level.isotherm_p(x0, mu_val), u_in=args.u0,
         p_out=two_level.isotherm_p(x1, mu_val), u_out=args.u1,
     )
-    buf = io.StringIO()
-    planner.write_plan_csv(plan, buf, samples_per_segment=args.samples)
-    if args.out:
-        _atomic_write(args.out, buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _export(args.out, lambda fh: planner.write_plan_csv(plan, fh, samples_per_segment=args.samples))
     return EXIT_OK
 
 
@@ -171,12 +171,11 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    json_buf = io.StringIO()
-    planner.write_plan_json(plan, json_buf)
-    csv_buf = io.StringIO()
-    planner.write_plan_csv(plan, csv_buf, samples_per_segment=args.samples)
-    _atomic_write(args.out_prefix + ".json", json_buf.getvalue())
-    _atomic_write(args.out_prefix + ".csv", csv_buf.getvalue())
+    # the CSV first: a writer that raises there leaves both files as they were
+    _atomic_write(
+        args.out_prefix + ".csv", lambda fh: planner.write_plan_csv(plan, fh, samples_per_segment=args.samples)
+    )
+    _atomic_write(args.out_prefix + ".json", lambda fh: planner.write_plan_json(plan, fh))
     print(
         f"plan: {len(plan.arcs)} arcs, {len(plan.switch_jumps)} switches, "
         f"tau={_fmt(plan.total_time)}, Q={_fmt(plan.total_heat)}"
@@ -207,10 +206,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
     report = bruteforce.comparison_report(plan.total_heat, res)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _export(args.out, lambda fh: fh.write(text))
     return EXIT_OK
 
 

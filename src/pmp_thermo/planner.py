@@ -737,30 +737,37 @@ def _rows_by_arc(plan: TrajectoryPlan, samples: int) -> dict[IsothermSegment, tu
     return rows
 
 
-def _plan_rows(plan: TrajectoryPlan, samples: int) -> Iterator[tuple[float, float, float, float, str, float]]:
-    """(t, u, p, q, branch, heat so far) along the plan; each quench gives twin rows."""
+def _plan_blocks(
+    plan: TrajectoryPlan, rows: dict[IsothermSegment, tuple[np.ndarray, ...]]
+) -> Iterator[tuple[PlanEntry, np.ndarray, np.ndarray, np.ndarray, np.ndarray, str, np.ndarray]]:
+    """(entry, t, u, p, q, branch, heat so far) for each plan entry, from the
+    arc samples `rows`; a quench gives twin rows.  Equal entries give equal
+    u, p, q and branch: only t and the heat so far move between recurrences.
+    """
     t0 = 0.0
     heat_acc = 0.0
-    rows = _rows_by_arc(plan, samples)
     for entry in plan.segments:
         if isinstance(entry, AdiabaticJump):
-            branch_label = (entry.to_branch or entry.from_branch or COLD).kind
-            for u_val in (entry.u_from, entry.u_to):
-                yield t0, u_val, entry.p, _q_at(plan, entry, u_val), branch_label, heat_acc
+            u = np.array([entry.u_from, entry.u_to])
+            q = np.array([_q_at(plan, entry, u_val) for u_val in (entry.u_from, entry.u_to)])
+            branch = (entry.to_branch or entry.from_branch or COLD).kind
+            yield entry, np.full(2, t0), u, np.full(2, entry.p), q, branch, np.full(2, heat_acc)
             continue
         dt, u, p, q, dq = rows[entry]
-        columns = ((t0 + dt).tolist(), u.tolist(), p.tolist(), q.tolist(), (heat_acc + dq).tolist())
-        for t, u_val, p_val, q_val, heat in zip(*columns):
-            yield t, u_val, p_val, q_val, entry.branch.kind, heat
+        yield entry, t0 + dt, u, p, q, entry.branch.kind, heat_acc + dq
         t0 += entry.duration
         heat_acc += entry.heat
 
 
 def sample_plan(plan: TrajectoryPlan, samples_per_segment: int = 1000) -> PlanSamples:
     """Sample every arc on a uniform local grid; quenches contribute twin points."""
+    blocks = [
+        (t, u, p, q, np.full(t.size, branch), q_cum)
+        for _, t, u, p, q, branch, q_cum in _plan_blocks(plan, _rows_by_arc(plan, samples_per_segment))
+    ]
     # an empty plan gives six empty float arrays
-    columns = list(zip(*_plan_rows(plan, samples_per_segment))) or [()] * 6
-    return PlanSamples(*map(np.array, columns))
+    columns = zip(*blocks) if blocks else [[np.array(())]] * 6
+    return PlanSamples(*map(np.concatenate, columns))
 
 
 def _q_at(plan: TrajectoryPlan, jump: AdiabaticJump, u_val: float) -> float:
@@ -937,11 +944,25 @@ def write_plan_json(plan: TrajectoryPlan, fileobj: io.TextIOBase) -> None:
 
 
 def write_plan_csv(plan: TrajectoryPlan, fileobj: io.TextIOBase, samples_per_segment: int = 1000) -> None:
-    """Time series `t,u,p,q,branch,Qcum` at 15 significant digits."""
+    """Time series `t,u,p,q,branch,Qcum` at 15 significant digits, one plan entry at a time.
+
+    Every arc is sampled before the first byte is written, so a sample out of
+    range raises with nothing written.  The u, p, q and branch columns of a
+    recurring entry are formatted once.
+    """
+    rows = _rows_by_arc(plan, samples_per_segment)
     fileobj.write(
         f"# units: time 1/gamma (gamma={_fmt(plan.baths.gamma)}), "
         f"energy 1/beta_c (beta_c={_fmt(plan.baths.beta_c)}); K={_fmt(plan.K)}\n"
     )
     fileobj.write("t,u,p,q,branch,Qcum\n")
-    for t, u, p, q, branch, q_cum in _plan_rows(plan, samples_per_segment):
-        fileobj.write(f"{_fmt(t)},{_fmt(u)},{_fmt(p)},{_fmt(q)},{branch},{_fmt(q_cum)}\n")
+    middles: dict[PlanEntry, list[str]] = {}
+    for entry, t, u, p, q, branch, q_cum in _plan_blocks(plan, rows):
+        middle = middles.get(entry)
+        if middle is None:
+            middle = middles[entry] = [
+                f",{_fmt(u_val)},{_fmt(p_val)},{_fmt(q_val)},{branch},"
+                for u_val, p_val, q_val in zip(u.tolist(), p.tolist(), q.tolist())
+            ]
+        lines = [f"{_fmt(t_val)}{mid}{_fmt(c)}\n" for t_val, mid, c in zip(t.tolist(), middle, q_cum.tolist())]
+        fileobj.write("".join(lines))

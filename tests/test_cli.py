@@ -1,13 +1,16 @@
+import errno
 import hashlib
 import json
 import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pmp_thermo import planner
 from pmp_thermo.cli import main
 
 
@@ -342,6 +345,97 @@ class TestDeterminismAndConfig:
         code, _, _ = run_cli(capsys, "sweep", "--z-min", "0.3", "--z-max", "0.6", "--steps", "3", "--out", str(out))
         assert code == 0
         assert len(out.read_text().splitlines()) == 2 + 3
+
+
+WORKED_ENDS = ("--p-in", "0.07", "--u-in", "1", "--p-out", "0.26", "--u-out", "6")
+
+
+def _failing_csv(monkeypatch, directory, after_writes=3):
+    """Make planner.write_plan_csv raise ENOSPC at its `after_writes`-th write.
+    Returns the (name, size) of each temporary file in `directory` at that moment."""
+    real = planner.write_plan_csv
+    seen = []
+
+    class Failing:
+        def __init__(self, fileobj):
+            self.fileobj, self.writes = fileobj, 0
+
+        def write(self, text):
+            self.fileobj.write(text)
+            self.writes += 1
+            if self.writes == after_writes:
+                self.fileobj.flush()
+                tmp = [p for p in directory.iterdir() if p.name.startswith(".pmp-thermo-")]
+                seen.extend((p.name, p.stat().st_size) for p in tmp)
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+    def write_plan_csv(plan, fileobj, samples_per_segment=1000):
+        real(plan, Failing(fileobj), samples_per_segment)
+
+    monkeypatch.setattr(planner, "write_plan_csv", write_plan_csv)
+    return seen
+
+
+class TestStreamedExports:
+    def test_failed_trajectory_export_keeps_both_files(self, capsys, tmp_path, monkeypatch):
+        argv = ["trajectory", "--z", "0.3", "--K", "-0.05", *WORKED_ENDS, "--out-prefix", str(tmp_path / "plan")]
+        code, _, _ = run_cli(capsys, *argv, "--samples", "20")
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["plan.csv", "plan.json"]
+        seen = _failing_csv(monkeypatch, tmp_path)
+        with pytest.raises(OSError, match="No space left"):
+            main([*argv, "--cycles", "1", "--samples", "30"])
+        # the rows went straight into the temporary file, which is gone with the failure
+        assert len(seen) == 1 and seen[0][1] > 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_isotherm_export_keeps_file(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "arc.csv"
+        argv = ["isotherm", "--branch", "cold", "--z", "0.3", "--K", "-0.05", "--u0", "1", "--u1", "6"]
+        argv += ["--out", str(out)]
+        code, _, _ = run_cli(capsys, *argv, "--samples", "20")
+        assert code == 0
+        before = out.read_bytes()
+        seen = _failing_csv(monkeypatch, tmp_path)
+        with pytest.raises(OSError, match="No space left"):
+            main([*argv, "--samples", "30"])
+        assert len(seen) == 1 and seen[0][1] > 0
+        assert [p.name for p in tmp_path.iterdir()] == ["arc.csv"]
+        assert out.read_bytes() == before
+
+    def test_deadline_export_streams(self, capsys, tmp_path):
+        # 2 050 arcs, 4 of them distinct: formatted whole in memory before
+        # the write, the CSV would cost about 2.8 times its size
+        argv = ["trajectory", "--z", "0.3", *WORKED_ENDS, "--deadline", "50", "--samples", "20"]
+        argv += ["--out-prefix", str(tmp_path / "plan")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = (tmp_path / "plan.csv").stat().st_size
+        assert size > 4_000_000
+        assert peak < 0.5 * size
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["isotherm", "--branch", "hot", "--z", "0.3", "--K", "-0.05", "--u0", "7", "--u1", "1"],
+            ["sweep", "--z-min", "0.2", "--z-max", "0.8", "--steps", "5"],
+            ["engine", "--z", "0.3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_stdout_is_the_out_file(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, printed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, to_file, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0 and to_file == ""
+        assert printed.encode() == out.read_bytes()
 
 
 # Run in a fresh interpreter: no command of the CLI, and no simulation, loads scipy.

@@ -9,6 +9,7 @@ import pytest
 import pmp_thermo
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(pmp_thermo.__path__))
+SOURCES = sorted(Path(pmp_thermo.__file__).parent.rglob("*.py"))
 
 
 def test_every_module_is_listed():
@@ -28,7 +29,7 @@ def test_star_import():
     assert "solve_engine" in namespace and "grid_search" in namespace
 
 
-@pytest.mark.parametrize("path", sorted(Path(pmp_thermo.__file__).parent.rglob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_scipy_import(path):
     # at any depth, inside functions too: scipy is a test dependency only
     names = []
@@ -69,3 +70,36 @@ def test_no_unused_private_names():
     unused = [f"{file}:{name}" for file, tree in trees.items() for name, node in _private_definitions(tree)
               if uses[name] - _references(node)[name] <= 0]
     assert not unused
+
+
+# perfbench/tracer.py rebinds planner.adiabatic_f; tests/test_tracer_targets.py guards the pair
+KEPT_IMPORTS = {("planner.py", "adiabatic_f")}
+
+
+def _top_level_imports(path, tree):
+    """(name, line) for each name bound by an import at the module's top level.
+    A package __init__ imports from its own modules to publish the names."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if not (path.name == "__init__.py" and node.level > 0):
+                yield from ((alias.asname or alias.name, node.lineno) for alias in node.names)
+
+
+def _dunder_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    # a name a module imports and never reads, nor lists in __all__, is left behind
+    tree = ast.parse(path.read_text(), str(path))
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read = loaded | _dunder_all(tree)
+    unused = {(path.name, name, line) for name, line in _top_level_imports(path, tree) if name not in read}
+    kept = {entry for entry in KEPT_IMPORTS if entry[0] == path.name}
+    assert {(file, name) for file, name, _ in unused} == kept, sorted(unused)
