@@ -30,28 +30,34 @@ EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
 
-def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
-    """Stream `write(fh)` into a temporary file and rename it, with the mode a plain open() would give."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pmp-thermo-")
+def _atomic_write(*files: tuple[str, Callable[[TextIO], object]]) -> None:
+    """Stream each (path, write) pair's `write(fh)` into a temporary file beside
+    its path, then rename them all: a writer that raises leaves every path as it
+    was.  Each file gets the mode a plain open() would give."""
+    # mkstemp creates 0600; the umask can only be read by setting it
+    umask = os.umask(0)
+    os.umask(umask)
+    tmps = []
     try:
-        with os.fdopen(fd, "w") as fh:
-            write(fh)
-        # mkstemp creates 0600; the umask can only be read by setting it
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        for path, write in files:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".pmp-thermo-")
+            tmps.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                write(fh)
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, (path, _) in zip(tmps, files):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
 def _export(path: str | None, write: Callable[[TextIO], object]) -> None:
     """Stream `write` into `path` atomically, or into stdout when no path is given."""
     if path:
-        _atomic_write(path, write)
+        _atomic_write((path, write))
     else:
         write(sys.stdout)
 
@@ -84,7 +90,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
                     t += args.delta_tau
                     fh.write(f"{_fmt(t)},{_fmt(u_val)}\n")
 
-        _atomic_write(args.schedule, write_schedule)
+        _atomic_write((args.schedule, write_schedule))
     return EXIT_OK
 
 
@@ -171,11 +177,10 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    # the CSV first: a writer that raises there leaves both files as they were
     _atomic_write(
-        args.out_prefix + ".csv", lambda fh: planner.write_plan_csv(plan, fh, samples_per_segment=args.samples)
+        (args.out_prefix + ".csv", lambda fh: planner.write_plan_csv(plan, fh, samples_per_segment=args.samples)),
+        (args.out_prefix + ".json", lambda fh: planner.write_plan_json(plan, fh)),
     )
-    _atomic_write(args.out_prefix + ".json", lambda fh: planner.write_plan_json(plan, fh))
     print(
         f"plan: {len(plan.arcs)} arcs, {len(plan.switch_jumps)} switches, "
         f"tau={_fmt(plan.total_time)}, Q={_fmt(plan.total_heat)}"

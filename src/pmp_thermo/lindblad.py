@@ -55,9 +55,11 @@ class TraceDriftError(IntegrationError):
 
 
 def _check_finite(u: np.ndarray) -> None:
-    """Raise ValueError unless every entry of the float array u is finite."""
+    """Raise ValueError unless every entry of the float array u is finite; for
+    a stack (..., n_controls), the message names the first vector that is not."""
     if not all(map(math.isfinite, u.ravel().tolist())):
-        raise ValueError(f"non-finite control vector {u}")
+        bad = next(v for v in u.reshape(-1, u.shape[-1]) if not all(map(math.isfinite, v.tolist())))
+        raise ValueError(f"non-finite control vector {bad}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,7 @@ def check_density_matrix(rho: np.ndarray) -> None:
 
 def _trace(m: np.ndarray) -> complex | np.ndarray:
     """Trace of one matrix, or the traces of a stack indexed like m.T[i, i]."""
-    # np.trace costs a few microseconds on one 2x2 matrix, and the integrator takes
-    # traces in every right-hand-side evaluation
+    # one matrix: left to right from 0, as the integrator's float right-hand side sums
     if m.ndim == 2:
         return sum(m.diagonal().tolist())
     return np.trace(m.T)
@@ -210,12 +211,7 @@ class DiagonalResetModel:
     def dissipator(self, rho: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
         """eta tr(rho) - rho, with eta the diagonal Gibbs state."""
         rho = np.asarray(rho, dtype=complex)
-        tr = _trace(rho)
-        out = -rho
-        diag = out.T
-        for i, p in enumerate(self._gibbs(u, kind)):
-            diag[i, i] += p * tr
-        return out
+        return _from_entries(_reset(_entries(rho), self._gibbs(u, kind), _trace(rho)), self.dim)
 
     def adjoint_dissipator(self, a: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
         """tr(eta a) 1 - a."""
@@ -248,7 +244,7 @@ class TwoLevelResetModel(DiagonalResetModel):
         super().__init__(baths, 2)
 
 
-def lindblad_rhs(rho: np.ndarray, control: ControlVector, model) -> np.ndarray:
+def lindblad_rhs(rho: np.ndarray, control: ControlVector, model: DiagonalResetModel) -> np.ndarray:
     """Full generator action: -i[H_u, rho] + gamma_c D_c[rho] + gamma_h D_h[rho].
 
     A stack of states (..., dim, dim) with controls (..., n_controls) gives the
@@ -257,18 +253,91 @@ def lindblad_rhs(rho: np.ndarray, control: ControlVector, model) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (model.dim, model.dim):
         raise ValueError(f"state shape {rho.shape} does not match model dim {model.dim}")
-    return _generator(rho, control.u, control.gamma_c, control.gamma_h, model)[0]
+    energies, resets = _terms(control.u, control.gamma_c, control.gamma_h, model)
+    return _from_entries(_generator(_entries(rho), energies, resets, _trace(rho)), model.dim)
 
 
-def _generator(rho: np.ndarray, u: np.ndarray, gamma_c: float, gamma_h: float, model) -> tuple[np.ndarray, np.ndarray]:
-    """The generator's action on rho, and the Hamiltonian H_u it was built with."""
-    h = model.hamiltonian(u)
-    out = -1j * (h @ rho - rho @ h)
-    if gamma_c > 0.0:
-        out = out + gamma_c * model.dissipator(rho, u, "cold")
-    if gamma_h > 0.0:
-        out = out + gamma_h * model.dissipator(rho, u, "hot")
-    return out, h
+# The generator works entry by entry on a flat list y: the real parts of rho's
+# entries row by row, then their imaginary parts.  The entries are Python floats
+# for one state, which costs a fraction of 2x2 complex matrix algebra, or arrays
+# indexed like rho.T[j, i] for a stack, so that the same code serves both.
+
+
+def _entries(rho: np.ndarray) -> list:
+    """The flat entry list of one complex state (dim, dim) or of a stack (..., dim, dim)."""
+    if rho.ndim == 2:
+        return rho.real.ravel().tolist() + rho.imag.ravel().tolist()
+    dim = rho.shape[-1]
+    return [part.T[j, i] for part in (rho.real, rho.imag) for i in range(dim) for j in range(dim)]
+
+
+def _from_entries(y: list, dim: int) -> np.ndarray:
+    """The complex array (..., dim, dim) of a flat entry list, its entries broadcast."""
+    n = dim * dim
+    parts = np.broadcast_arrays(*y[: 2 * n])
+    out = np.empty((n,) + parts[0].shape, dtype=complex)
+    out.real, out.imag = parts[:n], parts[n:]
+    return out.T.reshape(out.shape[:0:-1] + (dim, dim))
+
+
+def _terms(u: np.ndarray, gamma_c: float, gamma_h: float, model: DiagonalResetModel) -> tuple[list, list]:
+    """The energies [0, *u] and the pairs (gamma_b, Gibbs populations) of the
+    coupled baths: floats for one control vector, arrays indexed like u.T for a stack."""
+    u = model._controls(u)
+    energies = [0.0, *(u.tolist() if u.ndim == 1 else u.T)]
+    resets = [(gamma, model._gibbs(u, kind)) for kind, gamma in (("cold", gamma_c), ("hot", gamma_h)) if gamma > 0.0]
+    return energies, resets
+
+
+def _commutator(y: list, energies: list) -> list:
+    """Entries of -i[diag(energies), rho], rounded as (-1j) (H rho - rho H) rounds them."""
+    n = len(energies) ** 2
+    re, im = [], []
+    k = 0
+    for ei in energies:
+        for ej in energies:
+            a, b = y[k], y[n + k]
+            re.append(ei * b - ej * b)
+            im.append(ej * a - ei * a)
+            k += 1
+    return re + im
+
+
+def _reset(y: list, pops: list, tr: complex | np.ndarray | None = None) -> list:
+    """Entries of the reset map diag(pops) tr(rho) - rho.
+
+    tr is rho's trace as `_trace` gives it; by default it is summed from y, left
+    to right from 0, as `_trace` sums one state.
+    """
+    dim = len(pops)
+    n = dim * dim
+    out = [-v for v in y[: 2 * n]]
+    if tr is None:
+        tr_re = tr_im = 0.0
+        for k in range(0, n, dim + 1):
+            tr_re = tr_re + y[k]
+            tr_im = tr_im + y[n + k]
+    else:
+        tr_re, tr_im = tr.real, tr.imag
+    for i, p in enumerate(pops):
+        k = i * (dim + 1)
+        out[k] = p * tr_re - y[k]
+        out[n + k] = p * tr_im - y[n + k]
+    return out
+
+
+def _generator(y: list, energies: list, resets: list, tr: complex | np.ndarray | None = None) -> list:
+    """Entries of -i[diag(energies), rho] + sum_b gamma_b (diag(eta_b) tr(rho) - rho).
+
+    energies is [0, *u] and resets holds (gamma_b, eta_b) for each coupled bath,
+    eta_b its Gibbs populations (`_terms`); tr is as for `_reset`.  Items of y
+    past rho's entries are ignored.  Each entry rounds as the matrix form does;
+    a zero entry may differ from it in sign.
+    """
+    out = _commutator(y, energies)
+    for gamma, pops in resets:
+        out = [x + gamma * d for x, d in zip(out, _reset(y, pops, tr))]
+    return out
 
 
 @dataclass
@@ -287,14 +356,14 @@ class ProtocolPiece:
 
     def u_at(self, t: float) -> np.ndarray:
         if callable(self.u):
-            return np.atleast_1d(np.asarray(self.u(t), dtype=float))
+            return np.array(self.u(t), dtype=float, ndmin=1)
         return np.atleast_1d(np.asarray(self.u, dtype=float))
 
     def dudt_at(self, t: float, t_lo: float, t_hi: float) -> np.ndarray:
         if not callable(self.u):
             return np.zeros_like(self.u_at(t))
         if self.dudt is not None:
-            return np.atleast_1d(np.asarray(self.dudt(t), dtype=float))
+            return np.array(self.dudt(t), dtype=float, ndmin=1)
         h = max(1e-7 * (t_hi - t_lo), 1e-12)
         a = max(t - h, t_lo)
         b = min(t + h, t_hi)
@@ -372,16 +441,21 @@ def integrate(
             ControlVector(piece.u_at(t_lo), piece.gamma_c, piece.gamma_h)
 
             def rhs(t, y, piece=piece, t_lo=t_lo, t_hi=t_hi):
-                rho_t = (y[:n] + 1j * y[n : 2 * n]).reshape(dim, dim)
+                # np.float64 arithmetic would make each arc inversion about 1.7 times slower, same bits
+                t = float(t)
                 u_t = piece.u_at(t)
                 _check_finite(u_t)
-                ldot, h_t = _generator(rho_t, u_t, piece.gamma_c, piece.gamma_h, model)
-                dq = -_trace(h_t @ ldot).real
-                dh = model.dh_du(u_t)
-                dudt = piece.dudt_at(t, t_lo, t_hi).tolist()
-                dw = -sum(v * _trace(rho_t @ dh[k]) for k, v in enumerate(dudt)).real
-                flat = ldot.reshape(-1)
-                return np.concatenate([flat.real, flat.imag, [dq, dw]])
+                energies, resets = _terms(u_t, piece.gamma_c, piece.gamma_h, model)
+                y = y.tolist()
+                ldot = _generator(y, energies, resets)
+                # -sum_i E_i ldot_ii and -sum_k (du_k/dt) rho_{k+1,k+1}, summed from 0 as _trace sums
+                dq = 0.0
+                for i, e in enumerate(energies):
+                    dq = dq + e * ldot[i * (dim + 1)]
+                dw = 0.0
+                for k, v in enumerate(piece.dudt_at(t, t_lo, t_hi).tolist()):
+                    dw = dw + v * y[(k + 1) * (dim + 1)]
+                return np.array(ldot + [-dq, -dw])
 
             # at large t or tiny durations the grid can round to repeated times
             t_eval = np.linspace(t_lo, t_hi, max(samples_per_piece, 2))
@@ -398,7 +472,9 @@ def integrate(
             if bad.size:
                 raise TraceDriftError(f"trace drift {drift[bad[0]]:.3e}", t=float(ts[bad[0]]))
             solved.append((piece, ts, ys))
-            us.append(np.array([ControlVector(piece.u_at(t), piece.gamma_c, piece.gamma_h).u for t in ts]))
+            u = np.array([piece.u_at(t) for t in ts.tolist()])
+            _check_finite(u)
+            us.append(u)
             end = ys[:, -1]
             rho = (end[:n] + 1j * end[n : 2 * n]).reshape(dim, dim)
             q_acc, w_acc = end[2 * n :]

@@ -390,6 +390,25 @@ class TestStreamedExports:
         assert len(seen) == 1 and seen[0][1] > 0
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_failed_json_export_keeps_both_files(self, capsys, tmp_path, monkeypatch):
+        # both temporary files are written before either is renamed: a JSON writer
+        # that fails after the CSV is complete leaves the old pair in place
+        argv = ["trajectory", "--z", "0.3", "--K", "-0.05", *WORKED_ENDS, "--out-prefix", str(tmp_path / "plan")]
+        code, _, _ = run_cli(capsys, *argv, "--samples", "20")
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["plan.csv", "plan.json"]
+
+        def write_plan_json(plan, fileobj):
+            fileobj.write("{")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(planner, "write_plan_json", write_plan_json)
+        with pytest.raises(OSError, match="No space left"):
+            main([*argv, "--cycles", "1", "--samples", "30"])
+        # no .pmp-thermo-* temporary file is left either
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_failed_isotherm_export_keeps_file(self, capsys, tmp_path, monkeypatch):
         out = tmp_path / "arc.csv"
         argv = ["isotherm", "--branch", "cold", "--z", "0.3", "--K", "-0.05", "--u0", "1", "--u1", "6"]

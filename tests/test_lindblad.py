@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import mpmath as mp
@@ -6,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.stats import linregress
 
-from pmp_thermo import lindblad
+from pmp_thermo import lindblad, planner
 from pmp_thermo.lindblad import (
     ControlVector,
     DiagonalResetModel,
@@ -206,6 +208,53 @@ class TestStackedModel:
             u = np.array([[1.0], [bad], [2.0]])
             with pytest.raises(ValueError, match="non-finite"):
                 model.dissipator(rho, u, "cold")
+
+
+def _reference_dissipator(rho, u, model, kind):
+    """The former reset map eta tr(rho) - rho, the trace taken as lindblad._trace takes it."""
+    tr = np.asarray(lindblad._trace(rho)).T[..., np.newaxis, np.newaxis]
+    return model.equilibrium(u, kind) * tr - rho
+
+
+def _reference_generator(rho, control, model):
+    """The generator in its former matrix form: -1j (H rho - rho H) + gamma_c D_c + gamma_h D_h."""
+    rho = np.asarray(rho, dtype=complex)
+    h = model.hamiltonian(control.u)
+    out = -1j * (h @ rho - rho @ h)
+    for kind, gamma in (("cold", control.gamma_c), ("hot", control.gamma_h)):
+        if gamma > 0.0:
+            out = out + gamma * _reference_dissipator(rho, control.u, model, kind)
+    return out
+
+
+class TestAgainstMatrixForm:
+    """lindblad_rhs and the dissipator give the values of the former matrix form."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("rates", [(1.0, 0.0), (0.0, 2.0), (0.6, 0.4), (0.0, 0.0)])
+    def test_generator(self, rng, dim, rates):
+        model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
+        u, rho, _ = TestStackedModel.stack(rng, dim)
+        # diagonal states too, whose coherences are exactly zero
+        u = np.concatenate([u, u])
+        rho = np.concatenate([rho, rho * np.eye(dim)])
+        cases = [(rho[j], u[j]) for j in range(len(u))]  # the degenerate and the 700 rows among them
+        cases += [(rho, u), (rho.reshape(4, 8, dim, dim), u.reshape(4, 8, dim - 1))]
+        for r, v in cases:
+            control = ControlVector(u=v, gamma_c=rates[0], gamma_h=rates[1])
+            got = lindblad_rhs(r, control, model)
+            want = _reference_generator(r, control, model)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_dissipator(self, rng, dim):
+        model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
+        u, rho, _ = TestStackedModel.stack(rng, dim)
+        for kind in ("cold", "hot"):
+            assert np.array_equal(model.dissipator(rho, u, kind), _reference_dissipator(rho, u, model, kind))
+            for j in range(len(u)):
+                want = _reference_dissipator(rho[j], u[j], model, kind)
+                assert np.array_equal(model.dissipator(rho[j], u[j], kind), want)
 
 
 class TestLindbladRhs:
@@ -491,10 +540,11 @@ def _assert_same_outcome(*args, **kwargs):
 
 
 class _LeakyModel(DiagonalResetModel):
-    """Reset map that loses trace at rate 1e-6 while a bath is coupled."""
+    """Reset map that loses trace at rate 1e-6 while a bath is coupled: its
+    populations sum to 1 - 1e-6."""
 
-    def dissipator(self, rho, u, kind):
-        return super().dissipator(rho, u, kind) - 1e-6 * np.asarray(rho, dtype=complex)
+    def _gibbs(self, u, kind):
+        return [(1.0 - 1e-6) * p for p in super()._gibbs(u, kind)]
 
 
 class TestIntegrateAgainstReference:
@@ -570,8 +620,8 @@ class TestIntegrateAgainstReference:
 
 def test_rates_checked_once_per_piece(baths03, monkeypatch):
     # a piece's rates are fixed, so integrate validates them with one ControlVector
-    # per piece; the right-hand side checks only that u is finite.  Each output
-    # sample's u still goes through one.
+    # per piece of positive duration; the right-hand side checks only that u is
+    # finite, and so does one check of each piece's output samples
     plan = build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, 3, baths03)
     protocol = plan_to_protocol(plan)
     built = []
@@ -592,4 +642,62 @@ def test_rates_checked_once_per_piece(baths03, monkeypatch):
     monkeypatch.setattr(lindblad, "_generator", counting_generator)
     rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
     res = integrate(rho0, protocol, TwoLevelResetModel(baths03))
-    assert len(built) <= len(protocol.pieces) + res.t.size < len(rhs_calls)
+    assert len(built) == sum(piece.duration > 0.0 for piece in protocol.pieces) > 0
+    assert len(rhs_calls) > res.t.size
+
+
+def test_arc_inversion_gets_float_times(baths03, monkeypatch):
+    # the right-hand side takes float(t): np.float64 arithmetic makes each arc
+    # inversion about 1.7 times slower, with the same bits
+    plan = build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, 3, baths03)
+    arc_x = planner._arc_x
+    dt_types = []
+
+    def spy(seg, mu_val, c0, gamma, dt):
+        dt_types.append(type(dt))
+        return arc_x(seg, mu_val, c0, gamma, dt)
+
+    monkeypatch.setattr(planner, "_arc_x", spy)
+    rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
+    integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths03))
+    assert dt_types and set(dt_types) == {float}
+
+
+# integrate on the worked plan (z = 0.3, K = -0.05, endpoints (0.07, 1, 0.26, 6)):
+# the sha256 of the bytes of t, states, u, q_cum and w_cum, and the ledger's values
+# and types (what its repr shows), as the matrix-form generator gave them
+WORKED_PLAN_BITS = {
+    0: (
+        {
+            "t": "9d15a13f02b6380f9812396318cb8a79b6fbc1091afe7512cdfa3bbe807df43e",
+            "states": "e8605fcdf53cf9f7f9387c1ba5baffec2486322516d64ec7d07a073c172c655d",
+            "u": "73440d8dc22dd225fa10add371b8a127c1b5f11a292ad8633ba5ed68fecd5ed5",
+            "q_cum": "766b568037804a3d7e6588260ab87628f7b484c8d89628d2a7b1c6f030ce4ba8",
+            "w_cum": "f1c7bc8b7b320b70dc9dbb347e954781f207e8b14f93d65ca21b730508c8d2b7",
+        },
+        (-1.0375437148785265, 0.6128515050567852, 0.24060438473808426, 0.6652965945600258),
+    ),
+    3: (
+        {
+            "t": "fa9cd883676fb5af595343e92044be8412c8ba99ad5b0d1be15ac2423a1bf611",
+            "states": "2700456cb1bd871e2f882d24dcb3f5e8d5383af7fd5188aa6c93e42981ad7f41",
+            "u": "286619a8fbc76d3ea0889ca7438c6cdaf52e4360b88f63a060c06a7e29b3d8e2",
+            "q_cum": "7bc04d7ba9c932cce3562c288694f6a26665bc39d92f3ea0fa1b5c94bb97b6fb",
+            "w_cum": "c70a9f6ee21828058afe63a067a064fbc53b03f816270fe739c54dd30abc6bef",
+        },
+        (-2.6302272580644894, 2.2055350482485783, 0.24060438473808426, 0.6652965945563075),
+    ),
+}
+
+
+@pytest.mark.parametrize("cycles", sorted(WORKED_PLAN_BITS))
+def test_worked_plan_bits(baths03, cycles):
+    digests, ledger = WORKED_PLAN_BITS[cycles]
+    plan = build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, cycles, baths03)
+    rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
+    res = integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths03))
+    got = {name: hashlib.sha256(np.ascontiguousarray(getattr(res, name)).tobytes()).hexdigest() for name in digests}
+    assert got == digests
+    values = dataclasses.astuple(res.ledger)
+    assert values == ledger
+    assert [type(v) for v in values] == [np.float64, np.float64, float, float]
