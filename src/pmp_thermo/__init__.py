@@ -1,7 +1,7 @@
 """Optimal thermodynamic control of a two-bath driven open quantum system.
 
 Minimum-principle machinery (conserved emission rate, costate dynamics,
-bang-bang bath selection) together with the complete closed-form solution
+bang-bang switching function) together with the complete closed-form solution
 for the thermally reset two-level system: optimal isotherms, branch-switch
 populations, the maximum-power engine, trajectory planning and brute-force
 validation.
@@ -38,14 +38,7 @@ from .lindblad import (
     integrate,
     lindblad_rhs,
 )
-from .pmp import (
-    PmpResiduals,
-    costate_rhs,
-    pseudo_hamiltonian,
-    q_min_formula,
-    select_bath,
-    switching_functional,
-)
+from .pmp import costate_rhs, pseudo_hamiltonian, switching_functional
 from .planner import (
     AdiabaticJump,
     DeadlineInfeasible,

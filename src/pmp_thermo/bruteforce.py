@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import TwoLevelResetModel
+from .lindblad import TwoLevelResetModel, _sum
 from .two_level import Baths
 
 __all__ = [
@@ -100,7 +100,7 @@ class BangProtocol:
 
     @property
     def tau(self) -> float:
-        return sum(self.durations)
+        return _sum(self.durations)
 
 
 def simulate_bang_protocol(p0: float, protocol: BangProtocol, baths: Baths) -> tuple[float, float]:

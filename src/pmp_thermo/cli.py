@@ -263,6 +263,8 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
         report["max_dp"] < 1e-12
         and report["max_dq"] < 1e-9
         and report["max_conservation"] < 1e-9
+        and report["max_stationarity"] < 1e-9
+        and report["max_costate"] < 1e-9
         and report["max_bang_bang_violation"] <= 1e-12
     )
     checks.append(("plan-pmp-residuals", ok, f"conservation {report['max_conservation']:.2e}"))

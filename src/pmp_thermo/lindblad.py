@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -119,11 +119,21 @@ def check_density_matrix(rho: np.ndarray) -> None:
         raise ValueError(f"negative eigenvalue {evals.min():.3e}")
 
 
+def _sum(values: Iterable) -> float | complex | np.ndarray:
+    """values added left to right from 0, as sum() adds them up to Python 3.11;
+    from 3.12 on, sum() compensates a float sum and rounds differently.  An
+    empty input gives the int 0, as sum() does."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
 def _trace(m: np.ndarray) -> complex | np.ndarray:
     """Trace of one matrix, or the traces of a stack indexed like m.T[i, i]."""
     # one matrix: left to right from 0, as the integrator's float right-hand side sums
     if m.ndim == 2:
-        return sum(m.diagonal().tolist())
+        return _sum(m.diagonal().tolist())
     return np.trace(m.T)
 
 
@@ -177,7 +187,7 @@ class DiagonalResetModel:
                     raise ValueError(f"non-finite beta*u = {a}")
             low = min(scaled)
             weights = [math.exp(low - a) for a in scaled]
-            total = sum(weights)
+            total = _sum(weights)
             return [w / total for w in weights]
         # a float product, so that an overflowing beta*u raises here without a numpy warning
         if not math.isfinite(beta * float(np.abs(u).max())):
@@ -216,7 +226,7 @@ class DiagonalResetModel:
     def adjoint_dissipator(self, a: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
         """tr(eta a) 1 - a."""
         a = np.asarray(a, dtype=complex)
-        mean = sum(p * a.T[i, i] for i, p in enumerate(self._gibbs(u, kind)))
+        mean = _sum(p * a.T[i, i] for i, p in enumerate(self._gibbs(u, kind)))
         out = -a
         diag = out.T
         for i in range(self.dim):

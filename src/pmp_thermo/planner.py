@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pmp
 from ._roots import brentq
-from .lindblad import Protocol, ProtocolPiece, TwoLevelResetModel
+from .lindblad import Protocol, ProtocolPiece, TwoLevelResetModel, _sum
 from .two_level import (
     COLD,
     HOT,
@@ -132,11 +132,11 @@ class TrajectoryPlan:
 
     @property
     def total_time(self) -> float:
-        return sum(a.duration for a in self.arcs)
+        return _sum(a.duration for a in self.arcs)
 
     @property
     def total_heat(self) -> float:
-        return sum(a.heat for a in self.arcs)
+        return _sum(a.heat for a in self.arcs)
 
     @property
     def structure(self) -> tuple[str, ...]:
@@ -703,11 +703,13 @@ class PlanSamples:
 
 
 def _arc_rows(seg: IsothermSegment, baths: Baths, samples: int) -> tuple[np.ndarray, ...]:
-    """Columns (local t, u, p, q, heat since arc start) on a uniform grid along one arc.
+    """Columns (local t, u, p, q, heat since arc start, dq/dt) on a uniform grid along one arc.
 
     Each column holds the bits that isotherm_p, _q_of_x and xi give at the
     sample's x; a population outside [0, 1] raises isotherm_p's ValueError
-    for the first sample where it occurs.
+    for the first sample where it occurs.  With q = ((mu/beta)(1 + x^2)/x - u)/2
+    and gamma t = chi(x) - chi(x0), the costate velocity is exactly
+    dq/dt = gamma mu (1 + x^2) / (2 beta x).
     """
     beta = baths.beta(seg.branch.kind)
     mu_val = _mu_on(seg.branch, seg.K, baths)
@@ -725,7 +727,8 @@ def _arc_rows(seg: IsothermSegment, baths: Baths, samples: int) -> tuple[np.ndar
     p = np.minimum(np.maximum(p, 0.0), 1.0)
     atan_x = _math_map(math.atan, x)
     xi_x = (-2.0 * mu_val * atan_x + (2.0 * x * (x + mu_val) / (1.0 + x2)) * log_x) - _math_map(math.log, 1.0 + x2)
-    return dt, u, p, _q_of_x(x, u, mu_val, beta), (xi_x - xi0) / beta
+    qdot = (baths.gamma * mu_val / (2.0 * beta)) * (1.0 + x2) / x
+    return dt, u, p, _q_of_x(x, u, mu_val, beta), (xi_x - xi0) / beta, qdot
 
 
 def _rows_by_arc(plan: TrajectoryPlan, samples: int) -> dict[IsothermSegment, tuple[np.ndarray, ...]]:
@@ -753,7 +756,7 @@ def _plan_blocks(
             branch = (entry.to_branch or entry.from_branch or COLD).kind
             yield entry, np.full(2, t0), u, np.full(2, entry.p), q, branch, np.full(2, heat_acc)
             continue
-        dt, u, p, q, dq = rows[entry]
+        dt, u, p, q, dq, _ = rows[entry]
         yield entry, t0 + dt, u, p, q, entry.branch.kind, heat_acc + dq
         t0 += entry.duration
         heat_acc += entry.heat
@@ -831,29 +834,28 @@ def plan_to_protocol(plan: TrajectoryPlan) -> Protocol:
     return Protocol(pieces=pieces)
 
 
+def _diagonal_stack(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """The 2x2 complex matrices diag(d0[j], d1[j]), stacked along a leading axis."""
+    out = np.zeros((d0.size, 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1] = d0, d1
+    return out
+
+
 def _arc_stack(seg: IsothermSegment, rows: tuple[np.ndarray, ...], gamma: float) -> pmp.TrajectoryNode:
     """The samples of one arc as one node: rho, pi and u stacked along a leading
     axis, t the local times."""
-    dt, u, p, q, _ = rows
-    rho = np.zeros((dt.size, 2, 2), dtype=complex)
-    pi = np.zeros_like(rho)
-    rho[:, 0, 0], rho[:, 1, 1] = 1.0 - p, p
-    pi[:, 0, 0], pi[:, 1, 1] = q, -q
+    dt, u, p, q = rows[:4]
     cold = seg.branch.kind == "cold"
     control = pmp.ControlVector(u=u[:, None], gamma_c=gamma if cold else 0.0, gamma_h=0.0 if cold else gamma)
-    return pmp.TrajectoryNode(t=dt, rho=rho, pi=pi, control=control)
-
-
-def _stacks_by_arc(plan: TrajectoryPlan, samples: int) -> dict[IsothermSegment, pmp.TrajectoryNode]:
-    """Stacked samples of each distinct arc of the plan."""
-    return {seg: _arc_stack(seg, rows, plan.baths.gamma) for seg, rows in _rows_by_arc(plan, samples).items()}
+    return pmp.TrajectoryNode(t=dt, rho=_diagonal_stack(1.0 - p, p), pi=_diagonal_stack(q, -q), control=control)
 
 
 def plan_nodes(plan: TrajectoryPlan, samples_per_segment: int = 50) -> list[pmp.TrajectoryNode]:
     """Uniformly sampled (rho, pi, control) nodes for the residual checkers."""
     nodes: list[pmp.TrajectoryNode] = []
     t0 = 0.0
-    stacks = _stacks_by_arc(plan, samples_per_segment)
+    rows = _rows_by_arc(plan, samples_per_segment)
+    stacks = {seg: _arc_stack(seg, seg_rows, plan.baths.gamma) for seg, seg_rows in rows.items()}
     for arc in plan.arcs:
         stack = stacks[arc]
         ctrl = stack.control
@@ -869,24 +871,33 @@ def validate_plan(plan: TrajectoryPlan, samples_per_segment: int = 200) -> dict:
 
     The residuals do not depend on t, so each distinct arc is checked once, as
     one stack of samples; `nodes` still counts every sample of every arc.
+    `max_costate` compares the costate velocity under the adjoint generator,
+    with the traceless-gauge multiplier, against the arc's exact
+    diag(dq/dt, -dq/dt) (`_arc_rows`).
     """
     model = TwoLevelResetModel(plan.baths)
     dp, dq = plan.continuity_errors()
-    stat = worst_sign = 0.0
-    stacks = _stacks_by_arc(plan, samples_per_segment)
-    for stack in stacks.values():
+    stat = worst_sign = costate = 0.0
+    stacks = []
+    for seg, rows in _rows_by_arc(plan, samples_per_segment).items():
+        stack = _arc_stack(seg, rows, plan.baths.gamma)
+        stacks.append(stack)
         rho, pi, ctrl = stack.rho, stack.pi, stack.control
         stat = max(stat, pmp.stationarity_residual(stack, model))
         a = pmp.switching_functional(rho, pi, ctrl.u, model)
         # cold arcs need A >= 0, hot arcs A <= 0, up to a tie tolerance
         worst_sign = max(worst_sign, float(np.max(-a if ctrl.gamma_c > 0.0 else a)))
+        pi_dot = pmp.costate_rhs(pi, ctrl, model, pmp.gauge_lambda(pi, ctrl, model))
+        qdot = rows[5]
+        costate = max(costate, float(np.max(np.abs(pi_dot - _diagonal_stack(qdot, -qdot)))))
     return {
         "max_dp": dp,
         "max_dq": dq,
-        "max_conservation": pmp.conserved_k_residual(list(stacks.values()), plan.K, model),
+        "max_conservation": pmp.conserved_k_residual(stacks, plan.K, model),
         "max_stationarity": stat,
+        "max_costate": costate,
         "max_bang_bang_violation": worst_sign,
-        "nodes": sum(stacks[arc].t.size for arc in plan.arcs),
+        "nodes": len(plan.arcs) * max(samples_per_segment, 2),
     }
 
 

@@ -3,12 +3,13 @@
 Three conditions characterize a rate-optimal trajectory: the costate evolves
 under the adjoint generator with a gauge multiplier keeping it traceless, the
 pseudo-Hamiltonian is stationary under the gap control, and its value is a
-constant K.  This module evaluates all three on sampled trajectories and
-implements the bang-bang bath selector.
+constant K.  This module gives the costate velocity, the pseudo-Hamiltonian,
+the bang-bang switching function and the residuals of the last two
+conditions; `planner.validate_plan` checks all three on every sampled arc.
 
-The pseudo-Hamiltonian, the switching function, the stationarity residual and
-the generator also take stacks: states and costates of shape (..., dim, dim)
-with controls of shape (..., n_controls) are evaluated in one array pass.
+Every function also takes stacks: states and costates of shape
+(..., dim, dim) with controls of shape (..., n_controls) are evaluated in one
+array pass.
 """
 
 from __future__ import annotations
@@ -18,35 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import ControlVector, TwoLevelResetModel, _trace, lindblad_rhs
-from .two_level import Baths
+from .lindblad import ControlVector, _sum, _trace, lindblad_rhs
 
 __all__ = [
-    "BathChoice",
-    "PmpResiduals",
     "TrajectoryNode",
-    "costate_matrix",
     "pseudo_hamiltonian",
     "adjoint_generator",
     "costate_rhs",
     "gauge_lambda",
-    "lambda_from_gauge",
-    "q_min_formula",
     "switching_functional",
-    "switching_functional_scalar",
-    "select_bath",
     "conserved_k_residual",
     "stationarity_residual",
-    "evaluate_residuals",
 ]
-
-_FIXED_POINT_TOL = 1e-8
-_TIE_TOL = 1e-12
-
-
-def costate_matrix(q: float) -> np.ndarray:
-    """Two-level traceless costate q * (|0><0| - |1><1|)."""
-    return np.diag([q, -q]).astype(complex)
 
 
 def _real(value: complex | np.ndarray) -> float | np.ndarray:
@@ -56,24 +40,29 @@ def _real(value: complex | np.ndarray) -> float | np.ndarray:
     return float(value) if np.ndim(value) == 0 else value.T
 
 
-def pseudo_hamiltonian(
-    rho: np.ndarray, pi: np.ndarray, control: ControlVector, model, lam: float = 0.0
-) -> float | np.ndarray:
-    """<(pi - H_u) L_u[rho]> + lam * (tr rho - 1); the conserved scalar on optimal arcs."""
+def pseudo_hamiltonian(rho: np.ndarray, pi: np.ndarray, control: ControlVector, model) -> float | np.ndarray:
+    """<(pi - H_u) L_u[rho]>; the conserved scalar on optimal arcs."""
     rho = np.asarray(rho, dtype=complex)
     pi = np.asarray(pi, dtype=complex)
     if pi.shape != rho.shape:
         raise ValueError(f"costate shape {pi.shape} does not match state shape {rho.shape}")
     h = model.hamiltonian(control.u)
     ldot = lindblad_rhs(rho, control, model)
-    return _real(_trace((pi - h) @ ldot) + lam * (_trace(rho) - 1.0))
+    return _real(_trace((pi - h) @ ldot))
+
+
+def _diag_commutator(d: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """[D, a] for the diagonal matrix D (or stack) d: D_ii a_ij - a_ij D_jj entry
+    by entry, which has the values of the matrix form D a - a D."""
+    e = np.diagonal(d, axis1=-2, axis2=-1)
+    return e[..., :, None] * a - a * e[..., None, :]
 
 
 def adjoint_generator(a: np.ndarray, control: ControlVector, model) -> np.ndarray:
-    """Adjoint action L_u^dag[a] = +i[H_u, a] + sum_b gamma_b D_b^dag[a]."""
+    """Adjoint action L_u^dag[a] = +i[H_u, a] + sum_b gamma_b D_b^dag[a], for the
+    reset model's diagonal H_u."""
     a = np.asarray(a, dtype=complex)
-    h = model.hamiltonian(control.u)
-    out = 1j * (h @ a - a @ h)
+    out = 1j * _diag_commutator(model.hamiltonian(control.u), a)
     if control.gamma_c > 0.0:
         out = out + control.gamma_c * model.adjoint_dissipator(a, control.u, "cold")
     if control.gamma_h > 0.0:
@@ -81,94 +70,40 @@ def adjoint_generator(a: np.ndarray, control: ControlVector, model) -> np.ndarra
     return out
 
 
-def costate_rhs(pi: np.ndarray, control: ControlVector, model, lam: float) -> np.ndarray:
-    """Costate velocity: -(L_u^dag[pi - H_u] + lam * 1)."""
+def costate_rhs(pi: np.ndarray, control: ControlVector, model, lam: float | np.ndarray) -> np.ndarray:
+    """Costate velocity: -(L_u^dag[pi - H_u] + lam * 1); lam has the stack's shape."""
     pi = np.asarray(pi, dtype=complex)
     if not hasattr(model, "adjoint_dissipator"):
         raise TypeError(f"model {model!r} provides no adjoint generator")
     h = model.hamiltonian(control.u)
-    return -(adjoint_generator(pi - h, control, model) + lam * np.eye(model.dim, dtype=complex))
+    return -(adjoint_generator(pi - h, control, model) + np.multiply.outer(lam, np.eye(model.dim, dtype=complex)))
 
 
-def gauge_lambda(pi: np.ndarray, control: ControlVector, model) -> float:
+def gauge_lambda(pi: np.ndarray, control: ControlVector, model) -> float | np.ndarray:
     """Multiplier that keeps the costate traceless: -tr(L^dag[pi - H]) / dim."""
     h = model.hamiltonian(control.u)
-    return -float(np.trace(adjoint_generator(pi - h, control, model)).real) / model.dim
-
-
-def lambda_from_gauge(pi_dot: np.ndarray, rho_eq: np.ndarray, control: ControlVector | None = None, model=None) -> float:
-    """Multiplier read off a costate velocity, lam = -<rho_eq pi_dot>.
-
-    When the generator is supplied, rho_eq is verified to be its fixed point
-    (residual below 1e-8) before use.
-    """
-    rho_eq = np.asarray(rho_eq, dtype=complex)
-    pi_dot = np.asarray(pi_dot, dtype=complex)
-    if model is not None:
-        if control is None:
-            raise ValueError("fixed-point validation needs the control vector")
-        resid = float(np.max(np.abs(lindblad_rhs(rho_eq, control, model))))
-        if resid > _FIXED_POINT_TOL:
-            raise ValueError(f"rho_eq is not a fixed point: generator residual {resid:.3e}")
-    return -float(np.trace(rho_eq @ pi_dot).real)
-
-
-def q_min_formula(pi0: np.ndarray, rho0: np.ndarray, pi_tau: np.ndarray, rho_tau: np.ndarray, lambda_integral: float) -> float:
-    """Minimum released heat from boundary terms: <pi0 rho0> - <pi_tau rho_tau> - int lam dt."""
-    a = float(np.trace(np.asarray(pi0) @ np.asarray(rho0)).real)
-    b = float(np.trace(np.asarray(pi_tau) @ np.asarray(rho_tau)).real)
-    return a - b - lambda_integral
+    return -_real(_trace(adjoint_generator(pi - h, control, model))) / model.dim
 
 
 def switching_functional(rho: np.ndarray, pi: np.ndarray, u: np.ndarray | float, model) -> float | np.ndarray:
-    """Bang-bang selector: A = <(pi - H_u)(D_h - D_c)[rho]>."""
+    """Bang-bang selector: A = <(pi - H_u)(D_h - D_c)[rho]>.
+
+    (D_h - D_c)[rho] = (eta_h - eta_c) tr(rho) for the diagonal Gibbs states
+    eta_b, and eta_h - eta_c sums to zero, so A = tr(rho) sum_i (a_ii - a_kk)
+    (eta_h - eta_c)_i with a = pi - H_u and k the lowest level of each sample.
+    The term of level k, whose populations cancel at a large gap, drops out,
+    so A keeps its relative accuracy and its sign at any finite gap.
+    """
     rho = np.asarray(rho, dtype=complex)
-    pi = np.asarray(pi, dtype=complex)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     h = model.hamiltonian(u)
-    diff = model.dissipator(rho, u, "hot") - model.dissipator(rho, u, "cold")
-    return _real(_trace((pi - h) @ diff))
-
-
-def switching_functional_scalar(p: float, q: float, u: float, baths: Baths) -> float:
-    """Two-level closed form of the selector, (2q+u) [n_c(u) - n_h(u)].
-
-    n_b(u) = 1/(1 + e^{beta_b u}) is the excited Gibbs weight, taken from the
-    reset model's shifted exponentials, so each weight keeps its relative
-    accuracy and the selector its sign at any finite gap.
-    """
-    model = TwoLevelResetModel(baths)
-    n_c, n_h = (float(model.equilibrium(u, kind)[1, 1].real) for kind in ("cold", "hot"))
-    return (2.0 * q + u) * (n_c - n_h)
-
-
-@dataclass(frozen=True)
-class BathChoice:
-    """Outcome of the bang-bang selection under gamma_c + gamma_h = Gamma."""
-
-    label: str  # "cold" | "hot"
-    gamma_c: float
-    gamma_h: float
-
-
-def select_bath(a: float, current: str = "cold", gamma: float = 1.0) -> BathChoice:
-    """Full coupling to the cold bath for A > 0, hot for A < 0, sticky at ties.
-
-    A vanishing selector (|A| <= 1e-12) is measure-zero along optimal
-    trajectories; switching there is governed by the planner's jump
-    conditions, so ties keep the currently active bath.
-    """
-    if current not in ("cold", "hot"):
-        raise ValueError(f"current bath must be 'cold' or 'hot', got {current!r}")
-    if a > _TIE_TOL:
-        label = "cold"
-    elif a < -_TIE_TOL:
-        label = "hot"
-    else:
-        label = current
-    if label == "cold":
-        return BathChoice(label="cold", gamma_c=gamma, gamma_h=0.0)
-    return BathChoice(label="hot", gamma_c=0.0, gamma_h=gamma)
+    a = np.asarray(pi, dtype=complex) - h
+    diag = np.array([a.T[i, i] for i in range(model.dim)])
+    lowest = np.argmin([h.T[i, i].real for i in range(model.dim)], axis=0)
+    low = np.take_along_axis(diag, lowest[None], 0)[0]
+    eta_h, eta_c = model.equilibrium(u, "hot"), model.equilibrium(u, "cold")
+    total = _sum((a_ii - low) * (eta_h.T[i, i] - eta_c.T[i, i]) for i, a_ii in enumerate(diag))
+    return _real(_trace(rho) * total)
 
 
 @dataclass(frozen=True)
@@ -183,24 +118,6 @@ class TrajectoryNode:
     rho: np.ndarray
     pi: np.ndarray
     control: ControlVector
-
-
-@dataclass(frozen=True)
-class PmpResiduals:
-    """Worst-case deviations from the three optimality conditions."""
-
-    conservation_residual: float
-    stationarity_residual: float
-    costate_ode_residual: float
-    nodes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "max_conservation": self.conservation_residual,
-            "max_stationarity": self.stationarity_residual,
-            "max_costate_ode": self.costate_ode_residual,
-            "nodes": self.nodes,
-        }
 
 
 def conserved_k_residual(nodes: Sequence[TrajectoryNode], K: float, model) -> float:
@@ -220,9 +137,9 @@ def conserved_k_residual(nodes: Sequence[TrajectoryNode], K: float, model) -> fl
 def stationarity_residual(node: TrajectoryNode, model) -> float:
     """Gap-control stationarity: max_k |<(pi-H) d_k L[rho]> - <L[rho] d_k H>|.
 
-    Only the Hamiltonian controls enter; the damping rates are handled by the
-    bang-bang selector rather than a stationarity condition.  On a stacked
-    node the maximum also runs over the samples.
+    Only the Hamiltonian controls enter; the damping rates are set bang-bang
+    by the sign of the switching function rather than by a stationarity
+    condition.  On a stacked node the maximum also runs over the samples.
     """
     rho, pi, ctrl = node.rho, node.pi, node.control
     h = model.hamiltonian(ctrl.u)
@@ -235,58 +152,10 @@ def stationarity_residual(node: TrajectoryNode, model) -> float:
     ]
     worst = 0.0
     for k in range(model.n_controls):
-        dl = -1j * (dh[k] @ rho - rho @ dh[k])
+        dl = -1j * _diag_commutator(dh[k], rho)
         for d in ddiss:
             dl = dl + d[..., k, :, :]
         lhs = _trace((pi - h) @ dl).real
         rhs = _trace(ldot @ dh[k]).real
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
-
-
-def _fd_derivative(values: np.ndarray, t: np.ndarray, i: int) -> np.ndarray:
-    """Fourth-order one-sided/centered derivative on a uniform grid."""
-    n = len(t)
-    h = t[1] - t[0]
-    if 2 <= i <= n - 3:
-        return (-values[i + 2] + 8 * values[i + 1] - 8 * values[i - 1] + values[i - 2]) / (12 * h)
-    if i < 2:
-        return (
-            -25 * values[i] + 48 * values[i + 1] - 36 * values[i + 2] + 16 * values[i + 3] - 3 * values[i + 4]
-        ) / (12 * h)
-    return (
-        25 * values[i] - 48 * values[i - 1] + 36 * values[i - 2] - 16 * values[i - 3] + 3 * values[i - 4]
-    ) / (12 * h)
-
-
-def evaluate_residuals(nodes: Sequence[TrajectoryNode], K: float, model) -> PmpResiduals:
-    """All three optimality residuals over a uniformly sampled trajectory.
-
-    The costate-equation residual compares a finite-difference time
-    derivative of the sampled costate against the adjoint-generator velocity
-    with the traceless-gauge multiplier; it needs at least five uniform
-    samples and is skipped (reported as 0) on shorter inputs.
-
-    The conserved-rate check presumes all time dependence enters through the
-    controls; for a model with explicit time dependence of its own the
-    numbers are still computed but carry no optimality meaning.
-    """
-    cons = conserved_k_residual(nodes, K, model)
-    stat = max(stationarity_residual(node, model) for node in nodes)
-    ode = 0.0
-    if len(nodes) >= 5:
-        t = np.array([node.t for node in nodes])
-        dt = np.diff(t)
-        if dt.size and np.allclose(dt, dt[0], rtol=1e-8, atol=1e-12) and dt[0] > 0:
-            pis = np.array([node.pi for node in nodes])
-            for i, node in enumerate(nodes):
-                lam = gauge_lambda(node.pi, node.control, model)
-                expected = costate_rhs(node.pi, node.control, model, lam)
-                numeric = _fd_derivative(pis, t, i)
-                ode = max(ode, float(np.max(np.abs(numeric - expected))))
-    return PmpResiduals(
-        conservation_residual=cons,
-        stationarity_residual=stat,
-        costate_ode_residual=ode,
-        nodes=len(nodes),
-    )

@@ -260,6 +260,15 @@ class TestVerifyCommand:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    def test_fails_on_costate_residual(self, capsys, monkeypatch):
+        validate = planner.validate_plan
+        monkeypatch.setattr(planner, "validate_plan", lambda plan: {**validate(plan), "max_costate": 1e-6})
+        code, out, _ = run_cli(capsys, "verify")
+        lines = out.splitlines()
+        assert code == 4
+        assert [line.split()[0] for line in lines if "  FAIL  " in line] == ["plan-pmp-residuals"]
+        assert lines[-1] == "verify: FAILURES present"
+
 
 class TestOracleCommand:
     def test_report_fields(self, capsys, tmp_path):

@@ -701,3 +701,11 @@ def test_worked_plan_bits(baths03, cycles):
     values = dataclasses.astuple(res.ledger)
     assert values == ledger
     assert [type(v) for v in values] == [np.float64, np.float64, float, float]
+
+
+def test_sum_adds_left_to_right():
+    # sum() gives 1.0000000000000002 here from Python 3.12 on (compensated summation)
+    assert lindblad._sum([1.0, 1e-16, 1e-16]) == 1.0
+    assert lindblad._sum([-0.0]) == 0.0 and math.copysign(1.0, lindblad._sum([-0.0])) == 1.0
+    # an empty plan's totals stay the int 0, which its JSON writes as 0
+    assert lindblad._sum([]) == 0 and type(lindblad._sum([])) is int

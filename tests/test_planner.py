@@ -419,7 +419,8 @@ def _reference_arc_rows(seg, baths, samples):
         x = planner._arc_x(seg, mu_val, c0, baths.gamma, dt)
         u_val = (2.0 / beta) * math.log(x)
         q = _q_of_x(x, u_val, mu_val, beta)
-        rows.append((dt, u_val, isotherm_p(x, mu_val), q, (xi(x, mu_val) - xi0) / beta))
+        qdot = (baths.gamma * mu_val / (2.0 * beta)) * (1.0 + x * x) / x
+        rows.append((dt, u_val, isotherm_p(x, mu_val), q, (xi(x, mu_val) - xi0) / beta, qdot))
     return rows
 
 
@@ -449,7 +450,7 @@ def _reference_sample_plan(plan, samples_per_segment=1000):
                 brs.append(branch_label)
                 qcums.append(heat_acc)
             continue
-        for dt, u_val, p, q, dq in rows[entry]:
+        for dt, u_val, p, q, dq, _ in rows[entry]:
             ts.append(t0 + dt)
             us.append(u_val)
             ps.append(p)
@@ -646,7 +647,7 @@ def _reference_plan_nodes(plan, samples_per_segment=50):
     t0 = 0.0
     for arc in plan.arcs:
         control = dict(gamma_c=gamma, gamma_h=0.0) if arc.is_cold else dict(gamma_c=0.0, gamma_h=gamma)
-        for dt, u_val, p, q, _ in rows[arc]:
+        for dt, u_val, p, q, *_ in rows[arc]:
             rho = np.diag([1.0 - p, p]).astype(complex)
             pi = np.diag([q, -q]).astype(complex)
             nodes.append(pmp.TrajectoryNode(t=t0 + dt, rho=rho, pi=pi, control=pmp.ControlVector(u=[u_val], **control)))
@@ -655,23 +656,30 @@ def _reference_plan_nodes(plan, samples_per_segment=50):
 
 
 def _reference_validate(plan, samples_per_segment=200):
-    """The per-node loop validate_plan ran before it stacked each distinct arc."""
+    """The per-node loop validate_plan ran before it stacked each distinct arc,
+    with the costate residual checked node by node too."""
     model = TwoLevelResetModel(plan.baths)
     dp, dq = plan.continuity_errors()
-    worst_sign = 0.0
+    worst_sign = costate = 0.0
     nodes = _reference_plan_nodes(plan, samples_per_segment)
+    rows = _reference_rows_by_arc(plan, samples_per_segment)
+    qdots = [row[5] for arc in plan.arcs for row in rows[arc]]
     cons = pmp.conserved_k_residual(nodes, plan.K, model)
     stat = max((pmp.stationarity_residual(n, model) for n in nodes), default=0.0)
-    for node in nodes:
+    for node, qdot in zip(nodes, qdots):
         a = pmp.switching_functional(node.rho, node.pi, node.control.u, model)
         on_cold = node.control.gamma_c > 0.0
         violation = max(0.0, -a) if on_cold else max(0.0, a)
         worst_sign = max(worst_sign, violation)
+        lam = pmp.gauge_lambda(node.pi, node.control, model)
+        pi_dot = pmp.costate_rhs(node.pi, node.control, model, lam)
+        costate = max(costate, float(np.max(np.abs(pi_dot - np.diag([qdot, -qdot])))))
     return {
         "max_dp": dp,
         "max_dq": dq,
         "max_conservation": cons,
         "max_stationarity": stat,
+        "max_costate": costate,
         "max_bang_bang_violation": worst_sign,
         "nodes": len(nodes),
     }
@@ -718,6 +726,20 @@ class TestStackedValidation:
         validate_plan(plan, samples_per_segment=20)
         assert len(seen) == len(set(plan.arcs)) < len(plan.arcs)
         assert all(node.rho.shape == (20, 2, 2) for node in seen)
+
+    def test_costate_residual_sees_a_wrong_costate(self, baths03, monkeypatch):
+        # q off by 1e-6 moves the adjoint velocity gamma (2q + u)/2 by gamma 1e-6,
+        # while the exact dq/dt of the arc's x stays put
+        plan = build_trajectory(*ENDPOINTS.values(), K_REF, 1, baths03)
+        assert validate_plan(plan)["max_costate"] < 1e-14
+        arc_rows = planner._arc_rows
+
+        def shifted(seg, baths, samples):
+            dt, u, p, q, heat, qdot = arc_rows(seg, baths, samples)
+            return dt, u, p, q + 1e-6, heat, qdot
+
+        monkeypatch.setattr(planner, "_arc_rows", shifted)
+        assert validate_plan(plan)["max_costate"] == pytest.approx(1e-6 * baths03.gamma, rel=1e-6)
 
 
 def test_integrate_inverts_each_time_once(baths03, worked_plan, monkeypatch):

@@ -141,7 +141,8 @@ def _assert_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, beta_
     # heat and endpoint, and the sampled nodes meet the PMP conditions.  Heats
     # and costates scale as 1/beta_c, K as gamma/beta_c, so do the bounds.  The
     # stationarity residual pairs an energy (1/beta_c) with a rate times a
-    # derivative in the gap (gamma beta_c), so it scales as gamma alone.
+    # derivative in the gap (gamma beta_c), so it scales as gamma alone; the
+    # costate residual is a costate velocity, gamma/beta_c.
     baths = Baths.from_ratio(z, beta_c=beta_c, gamma=gamma)
     K = k_frac * solve_engine(z, beta_c=beta_c, gamma=gamma).K_star
     plan = build_trajectory(p_in, u_in / beta_c, p_out, u_out / beta_c, K, n_cycles, baths)
@@ -155,6 +156,7 @@ def _assert_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, beta_
     assert report["max_dq"] < 1e-9 / beta_c
     assert report["max_conservation"] < 1e-9 * gamma / beta_c
     assert report["max_stationarity"] < 1e-9 * gamma
+    assert report["max_costate"] < 1e-9 * gamma / beta_c
     assert report["max_bang_bang_violation"] <= 1e-12 / beta_c
 
 

@@ -41,6 +41,15 @@ def test_no_scipy_import(path):
     assert not [name for name in names if name.split(".")[0] == "scipy"]
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_builtin_sum(path):
+    # sum() of floats rounds differently from Python 3.12 on; lindblad._sum adds
+    # left to right on every version
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+    assert not calls
+
+
 def _private_definitions(tree):
     """(name, node) for each private, non-dunder name a module defines at its top level."""
     for node in tree.body:
