@@ -69,8 +69,8 @@ class ControlVector:
     u may carry a leading stack axis, (n, n_controls), for a stack of states
     under one pair of rates.  Construction checks that u is finite and the
     rates finite and non-negative.  `integrate` builds one per piece, for its
-    rates, and checks u in each right-hand side with the same message, so that
-    it does not pay for a construction per evaluation.
+    rates; its right-hand side checks and converts u once each, with the same
+    message, so that it does not pay for a construction per evaluation.
     """
 
     u: np.ndarray
@@ -130,11 +130,9 @@ def _sum(values: Iterable) -> float | complex | np.ndarray:
 
 
 def _trace(m: np.ndarray) -> complex | np.ndarray:
-    """Trace of one matrix, or the traces of a stack indexed like m.T[i, i]."""
-    # one matrix: left to right from 0, as the integrator's float right-hand side sums
-    if m.ndim == 2:
-        return _sum(m.diagonal().tolist())
-    return np.trace(m.T)
+    """Trace of one matrix, or the traces of a stack indexed like m.T[i, i], summed left to
+    right from 0 as `_reset` sums it; np.trace sums a stack's diagonals pairwise from dim 4 on."""
+    return _sum(m.T[i, i] for i in range(m.shape[-1]))
 
 
 class DiagonalResetModel:
@@ -175,11 +173,11 @@ class DiagonalResetModel:
         """Populations exp(beta (E_min - E_i)) / sum, indexed by level first: no
         overflow, and tiny ones keep their relative accuracy.
 
-        One state gives a list of floats, which costs a quarter of the array
-        passes; a stack gives an array indexed like u.T.
+        u is as `_controls` returns it, which every caller has run.  One state
+        gives a list of floats, which costs a quarter of the array passes; a
+        stack gives an array indexed like u.T.
         """
         beta = self.baths.beta(kind)
-        u = self._controls(u)
         if u.ndim == 1:
             scaled = [0.0] + [beta * e for e in u.tolist()]
             for a in scaled:
@@ -218,21 +216,6 @@ class DiagonalResetModel:
             eta.T[i, i] = p
         return eta
 
-    def dissipator(self, rho: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
-        """eta tr(rho) - rho, with eta the diagonal Gibbs state."""
-        rho = np.asarray(rho, dtype=complex)
-        return _from_entries(_reset(_entries(rho), self._gibbs(u, kind), _trace(rho)), self.dim)
-
-    def adjoint_dissipator(self, a: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
-        """tr(eta a) 1 - a."""
-        a = np.asarray(a, dtype=complex)
-        mean = _sum(p * a.T[i, i] for i, p in enumerate(self._gibbs(u, kind)))
-        out = -a
-        diag = out.T
-        for i in range(self.dim):
-            diag[i, i] += mean
-        return out
-
     def ddissipator_du(self, rho: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
         """d D[rho] / d u_k, of shape (..., n_controls, dim, dim)."""
         beta = self.baths.beta(kind)
@@ -264,13 +247,13 @@ def lindblad_rhs(rho: np.ndarray, control: ControlVector, model: DiagonalResetMo
     if rho.shape[-2:] != (model.dim, model.dim):
         raise ValueError(f"state shape {rho.shape} does not match model dim {model.dim}")
     energies, resets = _terms(control.u, control.gamma_c, control.gamma_h, model)
-    return _from_entries(_generator(_entries(rho), energies, resets, _trace(rho)), model.dim)
+    return _from_entries(_generator(_entries(rho), energies, resets), model.dim)
 
 
-# The generator works entry by entry on a flat list y: the real parts of rho's
-# entries row by row, then their imaginary parts.  The entries are Python floats
-# for one state, which costs a fraction of 2x2 complex matrix algebra, or arrays
-# indexed like rho.T[j, i] for a stack, so that the same code serves both.
+# The only implementation of each reset-model map works entry by entry on a flat
+# list y: the real parts of the matrix's entries row by row, then their imaginary
+# parts.  The entries are Python floats for one matrix, which costs a fraction of
+# 2x2 complex matrix algebra, or arrays indexed like rho.T[j, i] for a stack.
 
 
 def _entries(rho: np.ndarray) -> list:
@@ -313,22 +296,16 @@ def _commutator(y: list, energies: list) -> list:
     return re + im
 
 
-def _reset(y: list, pops: list, tr: complex | np.ndarray | None = None) -> list:
-    """Entries of the reset map diag(pops) tr(rho) - rho.
-
-    tr is rho's trace as `_trace` gives it; by default it is summed from y, left
-    to right from 0, as `_trace` sums one state.
-    """
+def _reset(y: list, pops: list) -> list:
+    """Entries of the reset map diag(pops) tr(rho) - rho, tr(rho) summed from y
+    left to right from 0, as `_trace` sums it."""
     dim = len(pops)
     n = dim * dim
     out = [-v for v in y[: 2 * n]]
-    if tr is None:
-        tr_re = tr_im = 0.0
-        for k in range(0, n, dim + 1):
-            tr_re = tr_re + y[k]
-            tr_im = tr_im + y[n + k]
-    else:
-        tr_re, tr_im = tr.real, tr.imag
+    tr_re = tr_im = 0.0
+    for k in range(0, n, dim + 1):
+        tr_re = tr_re + y[k]
+        tr_im = tr_im + y[n + k]
     for i, p in enumerate(pops):
         k = i * (dim + 1)
         out[k] = p * tr_re - y[k]
@@ -336,17 +313,41 @@ def _reset(y: list, pops: list, tr: complex | np.ndarray | None = None) -> list:
     return out
 
 
-def _generator(y: list, energies: list, resets: list, tr: complex | np.ndarray | None = None) -> list:
+def _adjoint_reset(y: list, pops: list) -> list:
+    """Entries of the adjoint reset map tr(diag(pops) a) 1 - a, tr(diag(pops) a)
+    summed level by level from 0."""
+    dim = len(pops)
+    n = dim * dim
+    diag = range(0, n, dim + 1)
+    mean_re = _sum(p * y[k] for p, k in zip(pops, diag))
+    mean_im = _sum(p * y[n + k] for p, k in zip(pops, diag))
+    out = [-v for v in y[: 2 * n]]
+    for k in diag:
+        out[k] = mean_re - y[k]
+        out[n + k] = mean_im - y[n + k]
+    return out
+
+
+def _generator(y: list, energies: list, resets: list) -> list:
     """Entries of -i[diag(energies), rho] + sum_b gamma_b (diag(eta_b) tr(rho) - rho).
 
     energies is [0, *u] and resets holds (gamma_b, eta_b) for each coupled bath,
-    eta_b its Gibbs populations (`_terms`); tr is as for `_reset`.  Items of y
-    past rho's entries are ignored.  Each entry rounds as the matrix form does;
-    a zero entry may differ from it in sign.
+    eta_b its Gibbs populations (`_terms`).  Items of y past rho's entries are
+    ignored.  Each entry rounds as the matrix form does; a zero entry may differ
+    from it in sign.
     """
     out = _commutator(y, energies)
     for gamma, pops in resets:
-        out = [x + gamma * d for x, d in zip(out, _reset(y, pops, tr))]
+        out = [x + gamma * d for x, d in zip(out, _reset(y, pops))]
+    return out
+
+
+def _adjoint_generator(y: list, energies: list, resets: list) -> list:
+    """Entries of the adjoint +i[diag(energies), a] + sum_b gamma_b (tr(diag(eta_b) a) 1 - a),
+    for energies and resets as `_generator` takes them; +i[H, a] is -`_commutator`."""
+    out = [-c for c in _commutator(y, energies)]
+    for gamma, pops in resets:
+        out = [x + gamma * d for x, d in zip(out, _adjoint_reset(y, pops))]
     return out
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "plan_for_deadline",
     "sample_plan",
     "plan_to_protocol",
-    "plan_nodes",
     "validate_plan",
     "write_plan_json",
     "write_plan_csv",
@@ -850,22 +849,6 @@ def _arc_stack(seg: IsothermSegment, rows: tuple[np.ndarray, ...], gamma: float)
     return pmp.TrajectoryNode(t=dt, rho=_diagonal_stack(1.0 - p, p), pi=_diagonal_stack(q, -q), control=control)
 
 
-def plan_nodes(plan: TrajectoryPlan, samples_per_segment: int = 50) -> list[pmp.TrajectoryNode]:
-    """Uniformly sampled (rho, pi, control) nodes for the residual checkers."""
-    nodes: list[pmp.TrajectoryNode] = []
-    t0 = 0.0
-    rows = _rows_by_arc(plan, samples_per_segment)
-    stacks = {seg: _arc_stack(seg, seg_rows, plan.baths.gamma) for seg, seg_rows in rows.items()}
-    for arc in plan.arcs:
-        stack = stacks[arc]
-        ctrl = stack.control
-        for dt, rho, pi, u in zip(stack.t.tolist(), stack.rho, stack.pi, ctrl.u):
-            control = pmp.ControlVector(u=u, gamma_c=ctrl.gamma_c, gamma_h=ctrl.gamma_h)
-            nodes.append(pmp.TrajectoryNode(t=t0 + dt, rho=rho, pi=pi, control=control))
-        t0 += arc.duration
-    return nodes
-
-
 def validate_plan(plan: TrajectoryPlan, samples_per_segment: int = 200) -> dict:
     """Continuity, bang-bang sign consistency and PMP residuals of a plan.
 
@@ -887,7 +870,7 @@ def validate_plan(plan: TrajectoryPlan, samples_per_segment: int = 200) -> dict:
         a = pmp.switching_functional(rho, pi, ctrl.u, model)
         # cold arcs need A >= 0, hot arcs A <= 0, up to a tie tolerance
         worst_sign = max(worst_sign, float(np.max(-a if ctrl.gamma_c > 0.0 else a)))
-        pi_dot = pmp.costate_rhs(pi, ctrl, model, pmp.gauge_lambda(pi, ctrl, model))
+        pi_dot = pmp.costate_rhs(pi, ctrl, model)
         qdot = rows[5]
         costate = max(costate, float(np.max(np.abs(pi_dot - _diagonal_stack(qdot, -qdot)))))
     return {

@@ -9,7 +9,9 @@ conditions; `planner.validate_plan` checks all three on every sampled arc.
 
 Every function also takes stacks: states and costates of shape
 (..., dim, dim) with controls of shape (..., n_controls) are evaluated in one
-array pass.
+array pass, and each state of a stack gets the bits it gets alone.  The
+commutator with the diagonal H_u or dH/du, the reset map and its adjoint come
+from `lindblad`'s entry-wise kernels, which the forward simulation runs too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import ControlVector, _sum, _trace, lindblad_rhs
+from .lindblad import (
+    ControlVector,
+    DiagonalResetModel,
+    _adjoint_generator,
+    _commutator,
+    _entries,
+    _from_entries,
+    _sum,
+    _terms,
+    _trace,
+    lindblad_rhs,
+)
 
 __all__ = [
     "TrajectoryNode",
@@ -51,38 +64,32 @@ def pseudo_hamiltonian(rho: np.ndarray, pi: np.ndarray, control: ControlVector, 
     return _real(_trace((pi - h) @ ldot))
 
 
-def _diag_commutator(d: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """[D, a] for the diagonal matrix D (or stack) d: D_ii a_ij - a_ij D_jj entry
-    by entry, which has the values of the matrix form D a - a D."""
-    e = np.diagonal(d, axis1=-2, axis2=-1)
-    return e[..., :, None] * a - a * e[..., None, :]
-
-
-def adjoint_generator(a: np.ndarray, control: ControlVector, model) -> np.ndarray:
-    """Adjoint action L_u^dag[a] = +i[H_u, a] + sum_b gamma_b D_b^dag[a], for the
-    reset model's diagonal H_u."""
-    a = np.asarray(a, dtype=complex)
-    out = 1j * _diag_commutator(model.hamiltonian(control.u), a)
-    if control.gamma_c > 0.0:
-        out = out + control.gamma_c * model.adjoint_dissipator(a, control.u, "cold")
-    if control.gamma_h > 0.0:
-        out = out + control.gamma_h * model.adjoint_dissipator(a, control.u, "hot")
-    return out
-
-
-def costate_rhs(pi: np.ndarray, control: ControlVector, model, lam: float | np.ndarray) -> np.ndarray:
-    """Costate velocity: -(L_u^dag[pi - H_u] + lam * 1); lam has the stack's shape."""
-    pi = np.asarray(pi, dtype=complex)
-    if not hasattr(model, "adjoint_dissipator"):
+def adjoint_generator(a: np.ndarray, control: ControlVector, model: DiagonalResetModel) -> np.ndarray:
+    """Adjoint action L_u^dag[a] = +i[H_u, a] + sum_b gamma_b (tr(eta_b a) 1 - a)
+    of the reset model; TypeError for any other model."""
+    if not isinstance(model, DiagonalResetModel):
         raise TypeError(f"model {model!r} provides no adjoint generator")
-    h = model.hamiltonian(control.u)
-    return -(adjoint_generator(pi - h, control, model) + np.multiply.outer(lam, np.eye(model.dim, dtype=complex)))
+    energies, resets = _terms(control.u, control.gamma_c, control.gamma_h, model)
+    return _from_entries(_adjoint_generator(_entries(np.asarray(a, dtype=complex)), energies, resets), model.dim)
+
+
+def _adjoint_pass(pi: np.ndarray, control: ControlVector, model) -> tuple[np.ndarray, float | np.ndarray]:
+    """L_u^dag[pi - H_u] and the multiplier -tr(L_u^dag[pi - H_u]) / dim that
+    keeps the costate traceless, from one adjoint pass."""
+    adj = adjoint_generator(np.asarray(pi, dtype=complex) - model.hamiltonian(control.u), control, model)
+    return adj, -_real(_trace(adj)) / model.dim
+
+
+def costate_rhs(pi: np.ndarray, control: ControlVector, model) -> np.ndarray:
+    """Costate velocity -(L_u^dag[pi - H_u] + lam 1), lam the multiplier
+    `gauge_lambda` gives, taken from the same adjoint pass."""
+    adj, lam = _adjoint_pass(pi, control, model)
+    return -(adj + np.multiply.outer(lam, np.eye(model.dim, dtype=complex)))
 
 
 def gauge_lambda(pi: np.ndarray, control: ControlVector, model) -> float | np.ndarray:
     """Multiplier that keeps the costate traceless: -tr(L^dag[pi - H]) / dim."""
-    h = model.hamiltonian(control.u)
-    return -_real(_trace(adjoint_generator(pi - h, control, model))) / model.dim
+    return _adjoint_pass(pi, control, model)[1]
 
 
 def switching_functional(rho: np.ndarray, pi: np.ndarray, u: np.ndarray | float, model) -> float | np.ndarray:
@@ -141,10 +148,11 @@ def stationarity_residual(node: TrajectoryNode, model) -> float:
     by the sign of the switching function rather than by a stationarity
     condition.  On a stacked node the maximum also runs over the samples.
     """
-    rho, pi, ctrl = node.rho, node.pi, node.control
+    rho, pi, ctrl = np.asarray(node.rho, dtype=complex), node.pi, node.control
     h = model.hamiltonian(ctrl.u)
     dh = model.dh_du(ctrl.u)
     ldot = lindblad_rhs(rho, ctrl, model)
+    y = _entries(rho)
     ddiss = [
         rate * model.ddissipator_du(rho, ctrl.u, kind)
         for kind, rate in (("cold", ctrl.gamma_c), ("hot", ctrl.gamma_h))
@@ -152,7 +160,7 @@ def stationarity_residual(node: TrajectoryNode, model) -> float:
     ]
     worst = 0.0
     for k in range(model.n_controls):
-        dl = -1j * _diag_commutator(dh[k], rho)
+        dl = _from_entries(_commutator(y, np.diagonal(dh[k]).real.tolist()), model.dim)
         for d in ddiss:
             dl = dl + d[..., k, :, :]
         lhs = _trace((pi - h) @ dl).real

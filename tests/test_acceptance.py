@@ -21,10 +21,9 @@ from pmp_thermo.planner import (
     build_trajectory,
     cycle_decomposition,
     monotonicity_profile,
-    plan_nodes,
     plan_to_protocol,
+    validate_plan,
 )
-from pmp_thermo.pmp import conserved_k_residual
 from pmp_thermo.two_level import (
     COLD,
     HOT,
@@ -171,9 +170,7 @@ def test_criterion_07_conserved_rate_on_all_segments():
     worst = 0.0
     n_segments = 0
     for plan in cases:
-        model = TwoLevelResetModel(plan.baths)
-        nodes = plan_nodes(plan, samples_per_segment=200)
-        worst = max(worst, conserved_k_residual(nodes, plan.K, model))
+        worst = max(worst, validate_plan(plan, 200)["max_conservation"])
         n_segments += len(plan.arcs)
     ok = worst < 1e-9
     report(7, ok, f"{n_segments} segments, max |H(t) - K| = {worst:.2e} at 200 samples each")

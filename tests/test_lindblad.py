@@ -48,16 +48,16 @@ class _ClosedFormTwoLevel:
         p_eq = 0.5 * (1.0 - math.tanh(0.5 * self.baths.beta(kind) * float(np.atleast_1d(u)[0])))
         return np.diag([1.0 - p_eq, p_eq]).astype(complex)
 
-    def dissipator(self, rho, u, kind):
-        return self.equilibrium(u, kind) * np.trace(rho) - rho
-
-    def adjoint_dissipator(self, a, u, kind):
-        return np.trace(self.equilibrium(u, kind) @ a) * np.eye(2, dtype=complex) - a
-
     def ddissipator_du(self, rho, u, kind):
         p_eq = self.equilibrium(u, kind)[1, 1].real
         dp = -self.baths.beta(kind) * p_eq * (1.0 - p_eq)
         return (np.diag([-dp, dp]).astype(complex) * np.trace(rho))[np.newaxis, :, :]
+
+
+def _cold_reset(rho, u, model):
+    """The cold reset map of rho: lindblad_rhs with the cold bath alone at rate 1,
+    on a diagonal state, whose commutator with the diagonal H_u is exactly zero."""
+    return lindblad_rhs(rho, ControlVector(u=u, gamma_c=1.0, gamma_h=0.0), model)
 
 
 class TestTwoLevelReset:
@@ -69,10 +69,10 @@ class TestTwoLevelReset:
     def test_gibbs_fixed_point(self):
         p_eq = 1.0 / (1.0 + math.exp(2.0))
         eta = np.diag([1.0 - p_eq, p_eq]).astype(complex)
-        assert np.max(np.abs(self.model().dissipator(eta, 2.0, "cold"))) < 1e-15
+        assert np.max(np.abs(_cold_reset(eta, 2.0, self.model()))) < 1e-15
 
     def test_zero_gap_from_ground(self):
-        out = self.model().dissipator(np.diag([1.0, 0.0]).astype(complex), 0.0, "cold")
+        out = _cold_reset(np.diag([1.0, 0.0]).astype(complex), 0.0, self.model())
         assert out[0, 0].real == pytest.approx(-0.5, abs=1e-15)
         assert out[1, 1].real == pytest.approx(0.5, abs=1e-15)
 
@@ -80,7 +80,7 @@ class TestTwoLevelReset:
         # instantaneous rate from the maximally mixed state, cross-checked by
         # integrating to the long-time limit
         rho = np.diag([0.5, 0.5]).astype(complex)
-        out = self.model().dissipator(rho, 2.0, "cold")
+        out = _cold_reset(rho, 2.0, self.model())
         expected = 1.0 / (1.0 + math.exp(2.0)) - 0.5
         assert out[1, 1].real == pytest.approx(expected, abs=1e-12)
         assert out[1, 1].real == pytest.approx(-0.3808, abs=1e-4)
@@ -96,7 +96,7 @@ class TestTwoLevelReset:
         model = DiagonalResetModel(Baths(beta_c=2.0, beta_h=0.5), 2)
         for u in (math.inf, -math.inf, math.nan, 1e308):
             with pytest.raises(ValueError, match="non-finite"):
-                model.dissipator(np.eye(2, dtype=complex) / 2, u, "cold")
+                _cold_reset(np.eye(2, dtype=complex) / 2, u, model)
 
     @pytest.mark.parametrize("beta_u", [-800.0, -40.0, 0.0, 11.0, 40.0, 700.0, 800.0])
     @pytest.mark.parametrize("kind", ["cold", "hot"])
@@ -119,12 +119,10 @@ class TestTwoLevelReset:
         model, ref = TwoLevelResetModel(baths), _ClosedFormTwoLevel(baths)
         for _ in range(20):
             u = np.array([float(rng.uniform(-8.0, 12.0))])
-            rho, a = random_density(rng), random_hermitian(rng)
+            rho = random_density(rng)
             for kind in ("cold", "hot"):
                 for got, want in (
                     (model.equilibrium(u, kind), ref.equilibrium(u, kind)),
-                    (model.dissipator(rho, u, kind), ref.dissipator(rho, u, kind)),
-                    (model.adjoint_dissipator(a, u, kind), ref.adjoint_dissipator(a, u, kind)),
                     (model.ddissipator_du(rho, u, kind), ref.ddissipator_du(rho, u, kind)),
                 ):
                     # two ulps of the largest entry: each form rounds on its own
@@ -145,16 +143,15 @@ class TestStackedModel:
         a = np.array([random_hermitian(rng, dim) for _ in range(n)])
         return u, rho, a
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    # from dim 4 on a stacked trace summed pairwise would round differently
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("kind", ["cold", "hot"])
     def test_methods_match_single_states(self, rng, dim, kind):
         model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
-        u, rho, a = self.stack(rng, dim)
+        u, rho, _ = self.stack(rng, dim)
         stacked = {
             "hamiltonian": model.hamiltonian(u),
             "equilibrium": model.equilibrium(u, kind),
-            "dissipator": model.dissipator(rho, u, kind),
-            "adjoint_dissipator": model.adjoint_dissipator(a, u, kind),
             "ddissipator_du": model.ddissipator_du(rho, u, kind),
         }
         assert stacked["ddissipator_du"].shape == (len(u), dim - 1, dim, dim)
@@ -162,14 +159,12 @@ class TestStackedModel:
             single = {
                 "hamiltonian": model.hamiltonian(u[j]),
                 "equilibrium": model.equilibrium(u[j], kind),
-                "dissipator": model.dissipator(rho[j], u[j], kind),
-                "adjoint_dissipator": model.adjoint_dissipator(a[j], u[j], kind),
                 "ddissipator_du": model.ddissipator_du(rho[j], u[j], kind),
             }
             for name, want in single.items():
                 assert np.array_equal(stacked[name][j], want), (name, j)
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
     def test_generator_matches_single_states(self, rng, dim):
         model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
         u, rho, _ = self.stack(rng, dim)
@@ -181,33 +176,34 @@ class TestStackedModel:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_gap_derivative_matches_finite_difference(self, rng, dim):
-        # d D[rho] / d u_k against a central difference, control by control
+        # d D[rho] / d u_k against a central difference of the cold reset map, control by control
         model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
         u, rho, _ = self.stack(rng, dim, n=6)
         u = u[2:]  # gaps away from the degenerate and the 700 rows
-        rho = rho[2:]
+        rho = rho[2:] * np.eye(dim)
         h = 1e-6
         got = model.ddissipator_du(rho, u, "cold")
         for k in range(dim - 1):
             step = np.zeros(dim - 1)
             step[k] = h
-            fd = (model.dissipator(rho, u + step, "cold") - model.dissipator(rho, u - step, "cold")) / (2 * h)
+            fd = (_cold_reset(rho, u + step, model) - _cold_reset(rho, u - step, model)) / (2 * h)
             assert np.max(np.abs(got[:, k] - fd)) < 1e-8
 
     def test_two_leading_axes(self, rng):
         model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), 3)
         u, rho, _ = self.stack(rng, 3, n=12)
-        flat = model.dissipator(rho, u, "hot")
-        grid = model.dissipator(rho.reshape(3, 4, 3, 3), u.reshape(3, 4, 2), "hot")
-        assert np.array_equal(grid.reshape(12, 3, 3), flat)
+        grid_u, grid_rho = u.reshape(3, 4, 2), rho.reshape(3, 4, 3, 3)
+        assert np.array_equal(model.equilibrium(grid_u, "hot").reshape(12, 3, 3), model.equilibrium(u, "hot"))
+        flat = model.ddissipator_du(rho, u, "hot")
+        assert np.array_equal(model.ddissipator_du(grid_rho, grid_u, "hot").reshape(12, 2, 3, 3), flat)
 
     def test_nonfinite_gap_in_stack_rejected(self):
+        # the Gibbs populations of a stack check beta * u as one state's do
         model = DiagonalResetModel(Baths(beta_c=2.0, beta_h=0.5), 2)
-        rho = np.array([np.eye(2, dtype=complex) / 2] * 3)
         for bad in (math.inf, -math.inf, math.nan, 1e308):
             u = np.array([[1.0], [bad], [2.0]])
             with pytest.raises(ValueError, match="non-finite"):
-                model.dissipator(rho, u, "cold")
+                model.equilibrium(u, "cold")
 
 
 def _reference_dissipator(rho, u, model, kind):
@@ -228,7 +224,7 @@ def _reference_generator(rho, control, model):
 
 
 class TestAgainstMatrixForm:
-    """lindblad_rhs and the dissipator give the values of the former matrix form."""
+    """lindblad_rhs and its reset map give the values of the former matrix form."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("rates", [(1.0, 0.0), (0.0, 2.0), (0.6, 0.4), (0.0, 0.0)])
@@ -248,13 +244,18 @@ class TestAgainstMatrixForm:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_dissipator(self, rng, dim):
+        # the reset kernel alone, on the full states
         model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
         u, rho, _ = TestStackedModel.stack(rng, dim)
+
+        def reset(r, v, kind):
+            pops = model._gibbs(model._controls(v), kind)
+            return lindblad._from_entries(lindblad._reset(lindblad._entries(r), pops), dim)
+
         for kind in ("cold", "hot"):
-            assert np.array_equal(model.dissipator(rho, u, kind), _reference_dissipator(rho, u, model, kind))
+            assert np.array_equal(reset(rho, u, kind), _reference_dissipator(rho, u, model, kind))
             for j in range(len(u)):
-                want = _reference_dissipator(rho[j], u[j], model, kind)
-                assert np.array_equal(model.dissipator(rho[j], u[j], kind), want)
+                assert np.array_equal(reset(rho[j], u[j], kind), _reference_dissipator(rho[j], u[j], model, kind))
 
 
 class TestLindbladRhs:
@@ -644,6 +645,29 @@ def test_rates_checked_once_per_piece(baths03, monkeypatch):
     res = integrate(rho0, protocol, TwoLevelResetModel(baths03))
     assert len(built) == sum(piece.duration > 0.0 for piece in protocol.pieces) > 0
     assert len(rhs_calls) > res.t.size
+
+
+def test_controls_converted_once_per_rhs(baths03, monkeypatch):
+    # the right-hand side converts u once for the energies and both baths'
+    # Gibbs populations; hamiltonian at the piece's two ends adds one each
+    model = TwoLevelResetModel(baths03)
+    piece = ProtocolPiece(duration=2.0, u=lambda t: np.array([1.0 + 0.5 * t]), gamma_c=0.6, gamma_h=0.4)
+    controls, rhs_calls = [], []
+    convert, generator = DiagonalResetModel._controls, lindblad._generator
+
+    def counting_controls(self, u):
+        controls.append(None)
+        return convert(self, u)
+
+    def counting_generator(*args):
+        rhs_calls.append(None)
+        return generator(*args)
+
+    monkeypatch.setattr(DiagonalResetModel, "_controls", counting_controls)
+    monkeypatch.setattr(lindblad, "_generator", counting_generator)
+    integrate(np.diag([0.8, 0.2]).astype(complex), Protocol(pieces=[piece]), model)
+    assert len(rhs_calls) > 50
+    assert len(controls) <= len(rhs_calls) + 2
 
 
 def test_arc_inversion_gets_float_times(baths03, monkeypatch):

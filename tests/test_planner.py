@@ -569,8 +569,8 @@ class TestArcKernel:
         monkeypatch.setattr(planner, "brentq", forbidden)
         samples = sample_plan(plan, samples_per_segment=50)
         assert samples.q_cum[-1] == pytest.approx(plan.total_heat, abs=1e-10)
-        assert len(planner.plan_nodes(plan, samples_per_segment=20)) == 20 * len(plan.arcs)
-        assert validate_plan(plan, samples_per_segment=20)["max_conservation"] < 1e-9
+        report = validate_plan(plan, samples_per_segment=20)
+        assert report["nodes"] == 20 * len(plan.arcs) and report["max_conservation"] < 1e-9
         rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
         res = integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths03))
         assert res.ledger.heat_released == pytest.approx(plan.total_heat, rel=1e-6)
@@ -640,7 +640,8 @@ class TestStackedSampler:
 
 
 def _reference_plan_nodes(plan, samples_per_segment=50):
-    """plan_nodes built node by node from the rows of _reference_arc_rows."""
+    """The plan's sampled (rho, pi, control) nodes, arc after arc, built node by
+    node from the rows of _reference_arc_rows."""
     gamma = plan.baths.gamma
     rows = _reference_rows_by_arc(plan, samples_per_segment)
     nodes = []
@@ -671,8 +672,7 @@ def _reference_validate(plan, samples_per_segment=200):
         on_cold = node.control.gamma_c > 0.0
         violation = max(0.0, -a) if on_cold else max(0.0, a)
         worst_sign = max(worst_sign, violation)
-        lam = pmp.gauge_lambda(node.pi, node.control, model)
-        pi_dot = pmp.costate_rhs(node.pi, node.control, model, lam)
+        pi_dot = pmp.costate_rhs(node.pi, node.control, model)
         costate = max(costate, float(np.max(np.abs(pi_dot - np.diag([qdot, -qdot])))))
     return {
         "max_dp": dp,
@@ -710,12 +710,21 @@ class TestStackedValidation:
         assert validate_plan(plan, samples) == _reference_validate(plan, samples)
 
     def test_plan_nodes_match_node_by_node_build(self, reference_plan):
-        got, want = planner.plan_nodes(reference_plan, 20), _reference_plan_nodes(reference_plan, 20)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.t == b.t and np.array_equal(a.rho, b.rho) and np.array_equal(a.pi, b.pi)
-            assert np.array_equal(a.control.u, b.control.u)
-            assert (a.control.gamma_c, a.control.gamma_h) == (b.control.gamma_c, b.control.gamma_h)
+        # the stacks validate_plan checks, one per distinct arc, hold the plan's nodes
+        plan, gamma = reference_plan, reference_plan.baths.gamma
+        rows = planner._rows_by_arc(plan, 20)
+        stacks = {seg: planner._arc_stack(seg, seg_rows, gamma) for seg, seg_rows in rows.items()}
+        want = _reference_plan_nodes(plan, 20)
+        assert len(want) == 20 * len(plan.arcs)
+        t0 = 0.0
+        for i, arc in enumerate(plan.arcs):
+            stack = stacks[arc]
+            for j, b in enumerate(want[20 * i : 20 * (i + 1)]):
+                assert t0 + stack.t[j] == b.t
+                assert np.array_equal(stack.rho[j], b.rho) and np.array_equal(stack.pi[j], b.pi)
+                assert np.array_equal(stack.control.u[j], b.control.u)
+                assert (stack.control.gamma_c, stack.control.gamma_h) == (b.control.gamma_c, b.control.gamma_h)
+            t0 += arc.duration
 
     def test_one_stack_per_distinct_arc(self, baths03, monkeypatch):
         # repeated cycles share their arcs, and a residual does not depend on t
@@ -726,6 +735,15 @@ class TestStackedValidation:
         validate_plan(plan, samples_per_segment=20)
         assert len(seen) == len(set(plan.arcs)) < len(plan.arcs)
         assert all(node.rho.shape == (20, 2, 2) for node in seen)
+
+    def test_one_adjoint_pass_per_distinct_arc(self, baths03, monkeypatch):
+        # the costate velocity and its traceless multiplier share one adjoint pass
+        plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
+        seen = []
+        adjoint = pmp.adjoint_generator
+        monkeypatch.setattr(pmp, "adjoint_generator", lambda a, control, model: seen.append(a) or adjoint(a, control, model))
+        validate_plan(plan)
+        assert len(seen) == len(set(plan.arcs)) < len(plan.arcs)
 
     def test_costate_residual_sees_a_wrong_costate(self, baths03, monkeypatch):
         # q off by 1e-6 moves the adjoint velocity gamma (2q + u)/2 by gamma 1e-6,

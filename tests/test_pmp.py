@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from pmp_thermo.lindblad import ControlVector, DiagonalResetModel, TwoLevelResetModel, lindblad_rhs
+from pmp_thermo.lindblad import ControlVector, DiagonalResetModel, TwoLevelResetModel, _sum, lindblad_rhs
 from pmp_thermo.pmp import (
     TrajectoryNode,
     adjoint_generator,
@@ -16,7 +16,7 @@ from pmp_thermo.pmp import (
     stationarity_residual,
     switching_functional,
 )
-from pmp_thermo.planner import build_trajectory, plan_nodes, validate_plan
+from pmp_thermo.planner import build_trajectory, validate_plan
 from pmp_thermo.two_level import (
     COLD,
     Baths,
@@ -96,8 +96,7 @@ class TestCostateRhs:
             gammas = (1.0, 0.0) if kind == "cold" else (0.0, 1.0)
             ctrl = ControlVector(u=np.array([u_val]), gamma_c=gammas[0], gamma_h=gammas[1])
             pi = diag_costate(q)
-            lam = gauge_lambda(pi, ctrl, model)
-            pi_dot = costate_rhs(pi, ctrl, model, lam)
+            pi_dot = costate_rhs(pi, ctrl, model)
             dq = 0.5 * (pi_dot[0, 0] - pi_dot[1, 1]).real
             assert dq == pytest.approx(0.5 * baths03.gamma * (2.0 * q + u_val), abs=1e-12)
             assert abs(np.trace(pi_dot)) < 1e-14
@@ -106,16 +105,18 @@ class TestCostateRhs:
         model = TwoLevelResetModel(baths03)
         ctrl = cold_ctrl(1.0)
         pi = diag_costate(0.25)
-        pi_dot = costate_rhs(pi, ctrl, model, gauge_lambda(pi, ctrl, model))
+        pi_dot = costate_rhs(pi, ctrl, model)
         dq = 0.5 * (pi_dot[0, 0] - pi_dot[1, 1]).real
         assert dq == pytest.approx(0.75, abs=1e-14)
 
     def test_costate_equal_hamiltonian(self, baths03):
-        # pi = H_u makes the adjoint argument vanish; lam = 0 freezes the costate
+        # pi = H_u makes the adjoint argument vanish, and with it the multiplier
         model = TwoLevelResetModel(baths03)
         u = np.array([2.0])
         pi = model.hamiltonian(u)
-        pi_dot = costate_rhs(pi, ControlVector(u=u, gamma_c=1.0, gamma_h=0.0), model, lam=0.0)
+        ctrl = ControlVector(u=u, gamma_c=1.0, gamma_h=0.0)
+        assert gauge_lambda(pi, ctrl, model) == 0.0
+        pi_dot = costate_rhs(pi, ctrl, model)
         assert np.max(np.abs(pi_dot)) < 1e-15
 
     def test_missing_adjoint_fatal(self):
@@ -126,7 +127,7 @@ class TestCostateRhs:
                 return np.zeros((2, 2), dtype=complex)
 
         with pytest.raises(TypeError):
-            costate_rhs(diag_costate(0.1), cold_ctrl(1.0), NoAdjoint(), 0.0)
+            costate_rhs(diag_costate(0.1), cold_ctrl(1.0), NoAdjoint())
 
 
 class TestGaugeMultiplier:
@@ -139,7 +140,7 @@ class TestGaugeMultiplier:
             ctrl = cold_ctrl(u_val)
             pi = diag_costate(q)
             lam = gauge_lambda(pi, ctrl, model)
-            pi_dot = costate_rhs(pi, ctrl, model, lam)
+            pi_dot = costate_rhs(pi, ctrl, model)
             rho_eq = model.equilibrium(ctrl.u, "cold")
             assert np.max(np.abs(lindblad_rhs(rho_eq, ctrl, model))) < 1e-15
             lam_back = -np.trace(rho_eq @ pi_dot).real
@@ -166,8 +167,7 @@ class TestGaugeMultiplier:
             pi = (y[8:12] + 1j * y[12:16]).reshape(2, 2)
             ctrl = cold_ctrl(u_of_t(t))
             rho_dot = lindblad_rhs(rho, ctrl, model)
-            lam = gauge_lambda(pi, ctrl, model)
-            pi_dot = costate_rhs(pi, ctrl, model, lam)
+            pi_dot = costate_rhs(pi, ctrl, model)
             return np.concatenate(
                 [rho_dot.reshape(-1).real, rho_dot.reshape(-1).imag, pi_dot.reshape(-1).real, pi_dot.reshape(-1).imag]
             )
@@ -274,23 +274,17 @@ class TestSwitchingFunctional:
 class TestStackedResiduals:
     """Stacked states give, sample by sample, the values of single-state calls."""
 
-    @pytest.mark.parametrize("gammas", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)])
-    def test_match_single_states(self, baths03, rng, gammas):
-        model = TwoLevelResetModel(baths03)
-        n = 24
-        p = rng.uniform(0.0, 1.0, n)
-        q = rng.uniform(-3.0, 3.0, n)
-        u = rng.uniform(-2.0, 40.0, (n, 1))
-        rho = np.array([diag_state(v) for v in p])
-        pi = np.array([diag_costate(v) for v in q])
+    @staticmethod
+    def check_stack(model, rho, pi, u, gammas):
+        n, dim = len(u), model.dim
         ctrl = ControlVector(u=u, gamma_c=gammas[0], gamma_h=gammas[1])
         ph = pseudo_hamiltonian(rho, pi, ctrl, model)
         a = switching_functional(rho, pi, u, model)
         lam = gauge_lambda(pi, ctrl, model)
-        pi_dot = costate_rhs(pi, ctrl, model, lam)
+        pi_dot = costate_rhs(pi, ctrl, model)
         stack = TrajectoryNode(t=np.zeros(n), rho=rho, pi=pi, control=ctrl)
         stat = stationarity_residual(stack, model)
-        assert ph.shape == a.shape == lam.shape == (n,) and pi_dot.shape == (n, 2, 2)
+        assert ph.shape == a.shape == lam.shape == (n,) and pi_dot.shape == (n, dim, dim)
         nodes = []
         for j in range(n):
             ctrl_j = ControlVector(u=u[j], gamma_c=gammas[0], gamma_h=gammas[1])
@@ -300,13 +294,36 @@ class TestStackedResiduals:
             assert type(value) is float and value == a[j]
             value = gauge_lambda(pi[j], ctrl_j, model)
             assert type(value) is float and value == lam[j]
-            assert np.array_equal(costate_rhs(pi[j], ctrl_j, model, value), pi_dot[j])
+            assert np.array_equal(costate_rhs(pi[j], ctrl_j, model), pi_dot[j])
             nodes.append(TrajectoryNode(t=0.0, rho=rho[j], pi=pi[j], control=ctrl_j))
         assert stat == max(stationarity_residual(node, model) for node in nodes)
         # the conservation residual of a stack is the maximum over its samples
         cons = conserved_k_residual([stack], K_REF, model)
         assert type(cons) is float and cons == conserved_k_residual(nodes, K_REF, model)
         assert conserved_k_residual([stack, nodes[0]], K_REF, model) == cons
+
+    @pytest.mark.parametrize("gammas", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)])
+    def test_match_single_states(self, baths03, rng, gammas):
+        n = 24
+        p = rng.uniform(0.0, 1.0, n)
+        q = rng.uniform(-3.0, 3.0, n)
+        u = rng.uniform(-2.0, 40.0, (n, 1))
+        rho = np.array([diag_state(v) for v in p])
+        pi = np.array([diag_costate(v) for v in q])
+        self.check_stack(TwoLevelResetModel(baths03), rho, pi, u, gammas)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 8])
+    @pytest.mark.parametrize("gammas", [(1.0, 0.0), (0.6, 0.4)])
+    def test_match_single_states_at_higher_dims(self, baths03, rng, dim, gammas):
+        # diagonal states whose traces round off one, and Hermitian costates; from
+        # dim 4 on, a trace summed pairwise across the stack would round differently
+        n = 15
+        pops = rng.uniform(0.0, 1.0, (n, dim))
+        rho = np.array([np.diag(v / v.sum()) for v in pops]).astype(complex)
+        a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+        pi = a + np.conj(np.swapaxes(a, -1, -2))
+        u = rng.uniform(-8.0, 12.0, (n, dim - 1))
+        self.check_stack(DiagonalResetModel(baths03, dim), rho, pi, u, gammas)
 
     @pytest.mark.parametrize("gammas", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)])
     def test_two_leading_axes_keep_their_order(self, baths03, rng, gammas):
@@ -323,8 +340,8 @@ class TestStackedResiduals:
         assert np.array_equal(a, switching_functional(rho, pi, u, model).reshape(3, 4))
         lam = gauge_lambda(pi2, grid, model)
         assert np.array_equal(lam, gauge_lambda(pi, flat, model).reshape(3, 4))
-        pi_dot = costate_rhs(pi2, grid, model, lam)
-        assert np.array_equal(pi_dot, costate_rhs(pi, flat, model, lam.reshape(12)).reshape(3, 4, 2, 2))
+        pi_dot = costate_rhs(pi2, grid, model)
+        assert np.array_equal(pi_dot, costate_rhs(pi, flat, model).reshape(3, 4, 2, 2))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("stack", [(), (7,), (3, 4)])
@@ -337,6 +354,29 @@ class TestStackedResiduals:
         got = adjoint_generator(a, ControlVector(u=u, gamma_c=0.0, gamma_h=0.0), model)
         assert np.array_equal(got, 1j * (h @ a - a @ h))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("rates", [(1.0, 0.0), (0.0, 2.0), (0.6, 0.4)])
+    def test_adjoint_generator_matches_matrix_form(self, baths03, rng, dim, rates):
+        # the adjoint reset map tr(eta a) 1 - a as the former matrix form gave it,
+        # tr(eta a) summed level by level from 0
+        model = DiagonalResetModel(baths03, dim)
+        a = rng.normal(size=(12, dim, dim)) + 1j * rng.normal(size=(12, dim, dim))
+        u = rng.uniform(-2.0, 40.0, (12, dim - 1))
+
+        def matrix_form(a, u):
+            h = model.hamiltonian(u)
+            out = 1j * (h @ a - a @ h)
+            for kind, gamma in zip(("cold", "hot"), rates):
+                if gamma > 0.0:
+                    eta = model.equilibrium(u, kind)
+                    mean = np.asarray(_sum(eta.T[i, i] * a.T[i, i] for i in range(dim))).T
+                    out = out + gamma * (np.multiply.outer(mean, np.eye(dim)) - a)
+            return out
+
+        for a_, u_ in [(a[j], u[j]) for j in range(12)] + [(a, u), (a.reshape(3, 4, dim, dim), u.reshape(3, 4, dim - 1))]:
+            got = adjoint_generator(a_, ControlVector(u=u_, gamma_c=rates[0], gamma_h=rates[1]), model)
+            assert got.shape == a_.shape and np.array_equal(got, matrix_form(a_, u_))
+
     def test_shape_mismatch_rejected(self, baths03):
         model = TwoLevelResetModel(baths03)
         rho = np.array([diag_state(0.3)] * 3)
@@ -347,9 +387,7 @@ class TestStackedResiduals:
 class TestResiduals:
     def test_analytic_arc_conservation(self, baths03):
         plan = build_trajectory(0.07, 1.0, 0.26, 6.0, K_REF, 0, baths03)
-        nodes = plan_nodes(plan, samples_per_segment=100)
-        model = TwoLevelResetModel(baths03)
-        assert conserved_k_residual(nodes, K_REF, model) < 1e-9
+        assert validate_plan(plan, samples_per_segment=100)["max_conservation"] < 1e-9
 
     def test_perturbation_grows_linearly(self, baths03):
         model = TwoLevelResetModel(baths03)
