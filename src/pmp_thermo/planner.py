@@ -782,55 +782,52 @@ def _q_at(plan: TrajectoryPlan, jump: AdiabaticJump, u_val: float) -> float:
     return isotherm_q_of_p(jump.p, _mu_on(branch, plan.K, plan.baths), plan.baths.beta(branch.kind))
 
 
-def _arc_controls(seg: IsothermSegment, baths: Baths, t_start: float) -> tuple[Callable, Callable]:
-    """Exact u(t) and du/dt callables for one arc starting at global time t_start."""
+def _arc_controls(seg: IsothermSegment, baths: Baths) -> tuple[Callable, Callable]:
+    """Exact u(s) and du/ds callables of one arc, s the time since its start."""
     beta = baths.beta(seg.branch.kind)
     mu_val = _mu_on(seg.branch, seg.K, baths)
     c0 = chi(seg.x0, mu_val)
     gamma = baths.gamma
-    # the integrator asks u and du/dt at the same t, so both share the latest inversion
-    t_last, x_last = math.nan, seg.x0
+    # the integrator asks u and du/ds at the same s, so both share the latest inversion
+    s_last, x_last = math.nan, seg.x0
 
-    def x_at(t: float) -> float:
-        nonlocal t_last, x_last
-        if t != t_last:
-            t_last, x_last = t, _arc_x(seg, mu_val, c0, gamma, t - t_start)
+    def x_at(s: float) -> float:
+        nonlocal s_last, x_last
+        if s != s_last:
+            s_last, x_last = s, _arc_x(seg, mu_val, c0, gamma, s)
         return x_last
 
-    def u_of_t(t: float) -> float:
-        return (2.0 / beta) * math.log(x_at(t))
+    def u_of_s(s: float) -> float:
+        return (2.0 / beta) * math.log(x_at(s))
 
-    def dudt_of_t(t: float) -> float:
-        x = x_at(t)
+    def dudt_of_s(s: float) -> float:
+        x = x_at(s)
         return (2.0 * gamma / beta) * (x * x + 1.0) / _chi_slope(x, mu_val)
 
-    return u_of_t, dudt_of_t
+    return u_of_s, dudt_of_s
 
 
 def plan_to_protocol(plan: TrajectoryPlan) -> Protocol:
     """Control schedule of the plan for the forward simulator.
 
     Quenches collapse into piece boundaries; each arc carries the exact
-    control velocity so work quadrature stays at integrator order.
+    control velocity so work quadrature stays at integrator order.  Every
+    occurrence of an arc is the same `ProtocolPiece` object, so `integrate`
+    solves each distinct arc once and maps its recurrences.
     """
-    pieces: list[ProtocolPiece] = []
-    t0 = 0.0
-    baths = plan.baths
-    for entry in plan.segments:
-        if isinstance(entry, AdiabaticJump):
-            continue
-        u_of_t, dudt_of_t = _arc_controls(entry, baths, t0)
-        pieces.append(
-            ProtocolPiece(
-                duration=entry.duration,
-                u=u_of_t,
-                gamma_c=baths.gamma if entry.branch.kind == "cold" else 0.0,
-                gamma_h=baths.gamma if entry.branch.kind == "hot" else 0.0,
-                dudt=dudt_of_t,
+    pieces: dict[IsothermSegment, ProtocolPiece] = {}
+    baths, arcs = plan.baths, plan.arcs
+    for seg in arcs:
+        if seg not in pieces:
+            u_of_s, dudt_of_s = _arc_controls(seg, baths)
+            pieces[seg] = ProtocolPiece(
+                duration=seg.duration,
+                u=u_of_s,
+                gamma_c=baths.gamma if seg.branch.kind == "cold" else 0.0,
+                gamma_h=baths.gamma if seg.branch.kind == "hot" else 0.0,
+                dudt=dudt_of_s,
             )
-        )
-        t0 += entry.duration
-    return Protocol(pieces=pieces)
+    return Protocol(pieces=[pieces[seg] for seg in arcs])
 
 
 def _diagonal_stack(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:

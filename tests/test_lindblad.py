@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -439,7 +440,9 @@ class TestValidationAndExport:
 
 def _reference_integrate(rho0, protocol, model, samples_per_piece=50):
     """integrate as it was before it built its result from the stacked solution:
-    per-sample unpacking, a per-sample trace check and seven per-piece lists."""
+    per-sample unpacking, a per-sample trace check and seven per-piece lists.
+    It solves every piece, recurring or not, and asks each piece's callables
+    at the time since its start, t - t_lo."""
     dim = model.dim
 
     def pack(rho, q, w):
@@ -458,30 +461,32 @@ def _reference_integrate(rho0, protocol, model, samples_per_piece=50):
     t_lo = protocol.t0
     rho = rho0
     q_acc, w_acc = 0.0, 0.0
-    h0 = model.hamiltonian(protocol.pieces[0].u_at(t_lo))
+    h0 = model.hamiltonian(protocol.pieces[0].u_at(0.0))
     energy_initial = float(np.trace(rho0 @ h0).real)
-    prev_piece = None
+    prev_piece = prev_lo = None
     for piece in protocol.pieces:
         if piece.duration < 0.0:
             raise ValueError(f"negative piece duration {piece.duration}")
         if prev_piece is not None:
-            h_prev = model.hamiltonian(prev_piece.u_at(t_lo))
-            h_next = model.hamiltonian(piece.u_at(t_lo))
+            h_prev = model.hamiltonian(prev_piece.u_at(t_lo - prev_lo))
+            h_next = model.hamiltonian(piece.u_at(0.0))
             w_acc += -float(np.trace(rho @ (h_next - h_prev)).real)
         if piece.duration == 0.0:
-            prev_piece = piece
+            prev_piece, prev_lo = piece, t_lo
             continue
         t_hi = t_lo + piece.duration
-        control_of = lambda t, piece=piece: ControlVector(u=piece.u_at(t), gamma_c=piece.gamma_c, gamma_h=piece.gamma_h)
+        control_of = lambda t, piece=piece, t_lo=t_lo: ControlVector(
+            u=piece.u_at(t - t_lo), gamma_c=piece.gamma_c, gamma_h=piece.gamma_h
+        )
 
-        def rhs(t, y, piece=piece, t_lo=t_lo, t_hi=t_hi):
+        def rhs(t, y, piece=piece, t_lo=t_lo):
             rho_t, _, _ = unpack(y)
-            u_t = piece.u_at(t)
+            u_t = piece.u_at(t - t_lo)
             ctrl = ControlVector(u=u_t, gamma_c=piece.gamma_c, gamma_h=piece.gamma_h)
             ldot = lindblad_rhs(rho_t, ctrl, model)
             dq = -lindblad._trace(model.hamiltonian(u_t) @ ldot).real
             dh = model.dh_du(u_t)
-            dudt = piece.dudt_at(t, t_lo, t_hi).tolist()
+            dudt = piece.dudt_at(t - t_lo).tolist()
             dw = -sum(v * lindblad._trace(rho_t @ dh[k]) for k, v in enumerate(dudt)).real
             flat = ldot.reshape(-1)
             return np.concatenate([flat.real, flat.imag, [dq, dw]])
@@ -505,9 +510,9 @@ def _reference_integrate(rho0, protocol, model, samples_per_piece=50):
         qs.append(sol.y[2 * dim * dim, :].copy())
         ws.append(sol.y[2 * dim * dim + 1, :].copy())
         rho, q_acc, w_acc = unpack(sol.y[:, -1])
+        prev_piece, prev_lo = piece, t_lo
         t_lo = t_hi
-        prev_piece = piece
-    h_final = model.hamiltonian(prev_piece.u_at(t_lo))
+    h_final = model.hamiltonian(prev_piece.u_at(t_lo - prev_lo))
     ledger = ThermoLedger(
         heat_released=q_acc, work_done=w_acc, energy_initial=energy_initial,
         energy_final=float(np.trace(rho @ h_final).real),
@@ -548,13 +553,19 @@ class _LeakyModel(DiagonalResetModel):
         return [(1.0 - 1e-6) * p for p in super()._gibbs(u, kind)]
 
 
+def _distinct(protocol):
+    """The protocol with a distinct piece object for each occurrence, which
+    `integrate` solves step by step."""
+    return Protocol(pieces=[dataclasses.replace(piece) for piece in protocol.pieces], t0=protocol.t0)
+
+
 class TestIntegrateAgainstReference:
     """integrate gives the bits of _reference_integrate, and raises what it raises."""
 
     def test_plans(self, reference_plan):
         plan = reference_plan
         rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
-        _assert_same_outcome(rho0, plan_to_protocol(plan), TwoLevelResetModel(plan.baths))
+        _assert_same_outcome(rho0, _distinct(plan_to_protocol(plan)), TwoLevelResetModel(plan.baths))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("t0", [0.0, 1.7])
@@ -617,6 +628,145 @@ class TestIntegrateAgainstReference:
             integrate(rho0, Protocol(pieces=[blow_up]), TwoLevelResetModel(baths03))
         assert type(err.value) is IntegrationError
         assert err.value.t == float(np.linspace(0.0, 1.0, 50)[24])
+
+
+class TestRecurringPieces:
+    """A piece object that occurs more than once is solved once, from its first
+    diagonal start, and its later diagonal starts are mapped from that solve."""
+
+    @pytest.mark.parametrize(
+        "reference_plan", [f"z={z}-cycles={n}" for z in (0.2, 0.3, 0.5, 0.9) for n in (2, 3)], indirect=True
+    )
+    def test_plans_with_cycles(self, reference_plan):
+        # heat within 1e-9 relative of the closed form (9.1e-12 seen), states within
+        # 1e-8 of the step-by-step run (6.2e-11 seen), first law within 1e-10 (4.6e-11 seen,
+        # as much as the step-by-step run's)
+        plan = reference_plan
+        rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
+        model = TwoLevelResetModel(plan.baths)
+        protocol = plan_to_protocol(plan)
+        res = integrate(rho0, protocol, model)
+        twin = integrate(rho0, _distinct(protocol), model)
+        assert abs(res.ledger.heat_released - plan.total_heat) <= 1e-9 * abs(plan.total_heat)
+        assert np.max(np.abs(res.states - twin.states)) <= 1e-8
+        assert abs(res.ledger.first_law_residual) <= 1e-10
+        assert np.array_equal(res.t, twin.t)
+        assert np.max(np.abs(res.u - twin.u)) <= 1e-12
+        for name in ("q_cum", "w_cum"):
+            assert np.max(np.abs(getattr(res, name) - getattr(twin, name))) <= 1e-8, name
+
+    def test_leaky_model(self, baths03):
+        # the leak changes the trace by 3e-9 between occurrences of the cold piece,
+        # so the trace ratio c is 1 - 3e-9: with c = 1 the states would be 1.3e-11
+        # off, where the map stays within 1e-13 (2.8e-16 seen) of the step-by-step run
+        model = _LeakyModel(baths03, 3)
+        cold = ProtocolPiece(duration=0.002, u=lambda s: np.array([1.0 + 40.0 * s, 2.0 - 30.0 * s]), gamma_c=1.0, gamma_h=0.0)
+        hot = ProtocolPiece(duration=0.001, u=np.array([1.5, 2.5]), gamma_c=0.0, gamma_h=1.0)
+        protocol = Protocol(pieces=[cold, hot, cold, hot, cold], t0=1.7)
+        rho0 = np.diag([0.6, 0.3, 0.1]).astype(complex)
+        res = integrate(rho0, protocol, model)
+        twin = integrate(rho0, _distinct(protocol), model)
+        assert np.max(np.abs(res.states - twin.states)) <= 1e-13
+        for name in ("q_cum", "w_cum"):
+            assert np.max(np.abs(getattr(res, name) - getattr(twin, name))) <= 1e-11, name
+        assert np.array_equal(res.t, twin.t) and np.array_equal(res.u, twin.u)
+
+    def test_coherent_start_steps(self, baths03, rng):
+        # a start with coherences is not mapped: every occurrence is solved, with
+        # the bits of the protocol of distinct pieces
+        model = TwoLevelResetModel(baths03)
+        cold = ProtocolPiece(duration=0.6, u=lambda s: np.array([1.0 + 0.5 * s]), gamma_c=1.0, gamma_h=0.0)
+        hot = ProtocolPiece(duration=0.4, u=np.array([2.0]), gamma_c=0.0, gamma_h=1.0)
+        protocol = Protocol(pieces=[cold, hot, cold, hot])
+        rho0 = random_density(rng)
+        res = integrate(rho0, protocol, model)
+        twin = _assert_same_outcome(rho0, _distinct(protocol), model)
+        for name in ("t", "states", "u", "gamma_c", "gamma_h", "q_cum", "w_cum"):
+            assert np.array_equal(getattr(res, name), getattr(twin, name)), name
+        assert res.ledger == twin.ledger
+
+    def test_step_failure_in_first_occurrence(self, baths03):
+        # the control velocity jumps by 1e100 halfway through the recurring piece: its
+        # one solve fails there, and the error carries the last sample reached in it
+        blow_up = ProtocolPiece(
+            duration=1.0, u=lambda s: np.array([1.0]), gamma_c=1.0, gamma_h=0.0, dudt=lambda s: np.array([1e100 if s > 0.5 else 1.0])
+        )
+        hot = ProtocolPiece(duration=0.4, u=np.array([1.0]), gamma_c=0.0, gamma_h=1.0)
+        rho0 = np.diag([0.8, 0.2]).astype(complex)
+        protocol = Protocol(pieces=[hot, blow_up, hot, blow_up], t0=1.7)
+        kind, message, t = _outcome(integrate, rho0, protocol, TwoLevelResetModel(baths03))
+        assert kind is IntegrationError and "integrator failed" in message
+        assert t == float(np.linspace(2.1, 3.1, 50)[24])
+        assert _outcome(integrate, rho0, _distinct(protocol), TwoLevelResetModel(baths03)) == (kind, message, t)
+
+    def test_trace_drift_in_later_occurrence(self, baths03):
+        # the leak of 1e-6 per unit time passes 1e-8 after 0.01 on the cold piece:
+        # 0.006 into its first occurrence and 0.004 into its second, which is mapped
+        model = _LeakyModel(baths03, 2)
+        cold = ProtocolPiece(duration=0.006, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0)
+        detached = ProtocolPiece(duration=0.5, u=np.array([2.0]), gamma_c=0.0, gamma_h=0.0)
+        rho0 = np.diag([0.8, 0.2]).astype(complex)
+        protocol = Protocol(pieces=[cold, detached, cold])
+        kind, _, t = _outcome(integrate, rho0, protocol, model)
+        samples = np.linspace(0.506, 0.512, 50)
+        assert kind is TraceDriftError and t == float(samples[np.searchsorted(samples, 0.510)])
+        assert _outcome(integrate, rho0, _distinct(protocol), model) == _outcome(integrate, rho0, protocol, model)
+
+    def test_repeated_samples_checked_per_occurrence(self, baths03):
+        # at t = 1e8 the float spacing (1.5e-8) exceeds the piece's sample step
+        # (2e-11): its first occurrence is solved, its second refused at its start
+        short = ProtocolPiece(duration=1e-9, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0)
+        long = ProtocolPiece(duration=1e8, u=np.array([1.0]), gamma_c=0.0, gamma_h=0.0)
+        rho0 = np.diag([0.8, 0.2]).astype(complex)
+        with pytest.raises(IntegrationError, match="repeated sample times") as err:
+            integrate(rho0, Protocol(pieces=[short, long, short]), TwoLevelResetModel(baths03))
+        assert err.value.t == 1e-9 + 1e8
+
+    def test_one_solve_per_distinct_arc(self, baths03, monkeypatch):
+        # a count, not a clock: the worked plan makes one solve per distinct arc
+        # at any number of cycles, and 200 cycles cost at most 1.1 times the
+        # right-hand sides of 2
+        solves, rhs_calls = [], []
+        dop853 = lindblad.dop853
+
+        def counting(fun, *args):
+            solves.append(None)
+
+            def counted(t, y):
+                rhs_calls.append(None)
+                return fun(t, y)
+
+            return dop853(counted, *args)
+
+        monkeypatch.setattr(lindblad, "dop853", counting)
+        calls = {}
+        for cycles in (2, 3, 20, 200):
+            plan = build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, cycles, baths03)
+            rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
+            solves.clear()
+            rhs_calls.clear()
+            res = integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths03))
+            assert len(solves) == 4 and len(plan.arcs) == 2 * cycles + 2
+            assert abs(res.ledger.heat_released - plan.total_heat) <= 1e-9 * abs(plan.total_heat)
+            calls[cycles] = len(rhs_calls)
+        assert calls[200] <= 1.1 * calls[2]
+
+
+def test_difference_fallback_late_in_a_protocol(baths03):
+    # at t0 = 1e5 the float spacing (1.5e-11) exceeds the fallback's step 1e-12:
+    # in global time t +- h rounded to t and du/dt was 0/0.  In local time it is
+    # not: the work matches the run at t0 = 0 within the difference's rounding
+    # error, eps |u| / (h |du/ds|) = 2e-7 per evaluation (9e-8 seen).  The
+    # duration 2^-20 is a whole number of float spacings at 1e5, so that both
+    # runs span the same interval.
+    piece = ProtocolPiece(duration=2.0**-20, u=lambda s: np.array([1.0 + 1e3 * s]), gamma_c=1.0, gamma_h=0.0)
+    rho0 = np.diag([0.8, 0.2]).astype(complex)
+    model = TwoLevelResetModel(baths03)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        late = integrate(rho0, Protocol(pieces=[piece], t0=1e5), model)
+    early = integrate(rho0, Protocol(pieces=[piece]), model)
+    assert late.ledger.work_done == pytest.approx(early.ledger.work_done, rel=1e-6)
 
 
 def test_rates_checked_once_per_piece(baths03, monkeypatch):
@@ -687,9 +837,10 @@ def test_arc_inversion_gets_float_times(baths03, monkeypatch):
     assert dt_types and set(dt_types) == {float}
 
 
-# integrate on the worked plan (z = 0.3, K = -0.05, endpoints (0.07, 1, 0.26, 6)):
-# the sha256 of the bytes of t, states, u, q_cum and w_cum, and the ledger's values
-# and types (what its repr shows), as the matrix-form generator gave them
+# integrate on the worked plan (z = 0.3, K = -0.05, endpoints (0.07, 1, 0.26, 6)),
+# each arc a distinct piece object: the sha256 of the bytes of t, states, u, q_cum
+# and w_cum, and the ledger's values and types (what its repr shows), as the
+# matrix-form generator gave them
 WORKED_PLAN_BITS = {
     0: (
         {
@@ -714,17 +865,42 @@ WORKED_PLAN_BITS = {
 }
 
 
+# the same on plan_to_protocol's pieces, one object per distinct arc: each
+# recurring arc's later occurrences mapped from its first
+WORKED_PLAN_MAPPED_BITS = {
+    3: (
+        {
+            "t": "fa9cd883676fb5af595343e92044be8412c8ba99ad5b0d1be15ac2423a1bf611",
+            "states": "afa713af5eb2c320823e893b58d0575e948cae8f49c35f785e83d4e98b9d8252",
+            "u": "203c2959a9fbd3fb294fce66469a53657bd19d9672d8d1871134dc6c4707258c",
+            "q_cum": "6f9ad2163496c5b1f1dadaf069037cb1655a56ecb38a553717a4de3c054241ba",
+            "w_cum": "fb24081dbcd626c32aff79e0697424b7d3b64327cec6362ee970ee7bb2e29bfd",
+        },
+        (-2.630227258066141, 2.2055350482501566, 0.24060438473808426, 0.6652965945563116),
+    ),
+}
+
+
+def _worked_plan_bits(baths, cycles, distinct):
+    plan = build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, cycles, baths)
+    rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
+    protocol = plan_to_protocol(plan)
+    res = integrate(rho0, _distinct(protocol) if distinct else protocol, TwoLevelResetModel(baths))
+    names = ("t", "states", "u", "q_cum", "w_cum")
+    got = {name: hashlib.sha256(np.ascontiguousarray(getattr(res, name)).tobytes()).hexdigest() for name in names}
+    values = dataclasses.astuple(res.ledger)
+    assert [type(v) for v in values] == [np.float64, np.float64, float, float]
+    return got, values
+
+
 @pytest.mark.parametrize("cycles", sorted(WORKED_PLAN_BITS))
 def test_worked_plan_bits(baths03, cycles):
-    digests, ledger = WORKED_PLAN_BITS[cycles]
-    plan = build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, cycles, baths03)
-    rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
-    res = integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths03))
-    got = {name: hashlib.sha256(np.ascontiguousarray(getattr(res, name)).tobytes()).hexdigest() for name in digests}
-    assert got == digests
-    values = dataclasses.astuple(res.ledger)
-    assert values == ledger
-    assert [type(v) for v in values] == [np.float64, np.float64, float, float]
+    assert _worked_plan_bits(baths03, cycles, distinct=True) == WORKED_PLAN_BITS[cycles]
+
+
+@pytest.mark.parametrize("cycles", sorted(WORKED_PLAN_MAPPED_BITS))
+def test_worked_plan_mapped_bits(baths03, cycles):
+    assert _worked_plan_bits(baths03, cycles, distinct=False) == WORKED_PLAN_MAPPED_BITS[cycles]
 
 
 def test_sum_adds_left_to_right():

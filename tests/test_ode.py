@@ -7,6 +7,7 @@ called, as (t, y.tobytes()).  Most cases run through `integrate`, with its
 call of the port replaced by one that runs both and compares them.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -98,12 +99,29 @@ def _random_density(rng, dim):
 
 
 def test_plans(compared, reference_plan):
+    # a distinct piece object per arc: integrate solves every arc
     plan = reference_plan
     rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
     protocol = plan_to_protocol(plan)
-    if protocol.pieces:
-        integrate(rho0, protocol, TwoLevelResetModel(plan.baths))
-    assert len(compared) == sum(piece.duration > 0.0 for piece in protocol.pieces)
+    pieces = [dataclasses.replace(piece) for piece in protocol.pieces]
+    if pieces:
+        integrate(rho0, Protocol(pieces=pieces), TwoLevelResetModel(plan.baths))
+    assert len(compared) == sum(piece.duration > 0.0 for piece in pieces)
+
+
+@pytest.mark.parametrize(
+    "reference_plan", [f"z={z}-cycles={n}" for z in (0.2, 0.3, 0.5, 0.9) for n in (2, 3)], indirect=True
+)
+def test_plans_mapped(compared, reference_plan):
+    # plan_to_protocol's pieces: integrate solves each distinct arc once, its
+    # extra components I_k and J_k included, and maps the recurrences
+    plan = reference_plan
+    rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
+    protocol = plan_to_protocol(plan)
+    integrate(rho0, protocol, TwoLevelResetModel(plan.baths))
+    assert len(compared) == len({id(piece) for piece in protocol.pieces}) == 4 < len(protocol.pieces)
+    # (re rho, im rho, Q, W) on the entry and exit arcs, and I, J on the two recurring ones
+    assert sorted(y.shape[0] for (_, y, _), _ in compared) == [10, 10, 12, 12]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
