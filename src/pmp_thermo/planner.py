@@ -151,11 +151,10 @@ class TrajectoryPlan:
         """Worst |dp| and |dq| across interior switches (q from both branches)."""
         worst_dp, worst_dq = 0.0, 0.0
         for j in self.switch_jumps:
+            q_from, q_to = _quench_q(j, self.K, self.baths)
+            worst_dq = max(worst_dq, abs(q_from - q_to))
             mu_from = _mu_on(j.from_branch, self.K, self.baths)
             mu_to = _mu_on(j.to_branch, self.K, self.baths)
-            q_from = isotherm_q_of_p(j.p, mu_from, self.baths.beta(j.from_branch.kind))
-            q_to = isotherm_q_of_p(j.p, mu_to, self.baths.beta(j.to_branch.kind))
-            worst_dq = max(worst_dq, abs(q_from - q_to))
             # p is shared by construction; recompute from both arcs' x to expose drift
             p_from = isotherm_p(isotherm_x_of_p(j.p, mu_from), mu_from)
             p_to = isotherm_p(isotherm_x_of_p(j.p, mu_to), mu_to)
@@ -192,15 +191,18 @@ class CycleDecomposition:
 
 
 def cycle_decomposition(K: float, baths: Baths) -> CycleDecomposition:
-    """Inner cycle: hot arc p_ad1 -> p_ad2, quench, cold arc back, quench."""
+    """Inner cycle: hot arc p_ad1 -> p_ad2, quench, cold arc back, quench.
+
+    Its arcs are those of `_cycle_loop`, which every plan with cycles repeats.
+    """
     try:
         p1, p2 = find_jump_points(K, baths)
     except NoJumpPoints as exc:
         raise NoCycleExists(str(exc)) from exc
-    if p2 - p1 <= _P_TOL:
+    loop = _cycle_loop(K, baths, p1, p2)
+    if not loop:
         return CycleDecomposition(K=K, p_ad1=p1, p_ad2=p2, tau_hot=0.0, tau_cold=0.0, q_hot=0.0, q_cold=0.0)
-    hot = segment_from_populations(HOT, K, baths, p1, p2)
-    cold = segment_from_populations(COLD, K, baths, p2, p1)
+    hot, _, cold, _ = loop
     return CycleDecomposition(
         K=K,
         p_ad1=p1,
@@ -218,6 +220,14 @@ def _mu_on(branch: Branch, K: float, baths: Baths) -> float:
 
 def _u_on(branch: Branch, K: float, baths: Baths, p: float) -> float:
     return isotherm_u_of_p(p, _mu_on(branch, K, baths), baths.beta(branch.kind))
+
+
+def _quench_q(jump: AdiabaticJump, K: float, baths: Baths) -> tuple[float, float]:
+    """Costate (before, after) a quench, each from the arc on its side; a
+    boundary quench takes both from its one arc."""
+    before = jump.from_branch or jump.to_branch
+    after = jump.to_branch or jump.from_branch
+    return tuple(isotherm_q_of_p(jump.p, _mu_on(b, K, baths), baths.beta(b.kind)) for b in (before, after))
 
 
 def _other(branch: Branch) -> Branch:
@@ -249,26 +259,21 @@ def _switch(branch_from: Branch, K: float, baths: Baths, p: float) -> AdiabaticJ
     )
 
 
-def _cycle_entries(start_branch: Branch, start_p: float, K: float, baths: Baths, p1: float, p2: float) -> list[PlanEntry]:
-    """One full inner loop beginning and ending at (start_branch, start_p)."""
-    entries: list[PlanEntry] = []
-    branch, p = start_branch, start_p
-    for _ in range(4):
-        if branch.kind == "hot":
-            if abs(p - p1) <= _P_TOL:
-                entries.extend(_arc_entries(HOT, K, baths, p1, p2))
-                branch, p = HOT, p2
-            else:
-                entries.append(_switch(HOT, K, baths, p2))
-                branch, p = COLD, p2
-        else:
-            if abs(p - p2) <= _P_TOL:
-                entries.extend(_arc_entries(COLD, K, baths, p2, p1))
-                branch, p = COLD, p1
-            else:
-                entries.append(_switch(COLD, K, baths, p1))
-                branch, p = HOT, p1
-    return entries
+def _cycle_loop(K: float, baths: Baths, p1: float, p2: float) -> list[PlanEntry]:
+    """The inner cycle between the switch populations p1 < p2, starting hot at p1.
+
+    [hot arc p1 -> p2, switch hot -> cold at p2, cold arc p2 -> p1, switch
+    cold -> hot at p1]; empty when the populations coincide (the tangency).
+    A plan takes its cycles from here, rotated to where its leg meets them.
+    """
+    if p2 - p1 <= _P_TOL:
+        return []
+    return [
+        segment_from_populations(HOT, K, baths, p1, p2),
+        _switch(HOT, K, baths, p2),
+        segment_from_populations(COLD, K, baths, p2, p1),
+        _switch(COLD, K, baths, p1),
+    ]
 
 
 def _first_touch(branch: Branch, p_from: float, p_to: float, jump_ps: tuple[float, float] | None) -> float | None:
@@ -294,27 +299,30 @@ def _assemble(
     switches: list[tuple[Branch, float]],
     n_cycles: int,
     jumps: tuple[float, float] | None,
+    loop: list[PlanEntry],
 ) -> TrajectoryPlan | None:
-    """Build one candidate plan from its leg list, inserting requested cycles."""
+    """Build one candidate plan from its leg list, inserting requested cycles.
+
+    n_cycles copies of `loop` (`_cycle_loop`) go in where a leg first meets a
+    switch population, rotated to start there: a hot leg at p1 / p2 enters at
+    the hot arc / the hot -> cold switch, a cold leg at p2 / p1 at the cold
+    arc / the cold -> hot switch.  That leg is split there even if loop is [].
+    """
     entries: list[PlanEntry] = []
     cycles_placed = n_cycles == 0
     try:
         for i, (branch, p_a, p_b) in enumerate(legs):
             if not _direction_ok(branch, p_a, p_b):
                 return None
-            if not cycles_placed:
-                touch = _first_touch(branch, p_a, p_b, jumps)
-                if touch is not None:
-                    entries.extend(_arc_entries(branch, K, baths, p_a, touch))
-                    loop = _cycle_entries(branch, touch, K, baths, *jumps)
-                    for _ in range(n_cycles):
-                        entries.extend(loop)
-                    entries.extend(_arc_entries(branch, K, baths, touch, p_b))
-                    cycles_placed = True
-                else:
-                    entries.extend(_arc_entries(branch, K, baths, p_a, p_b))
-            else:
+            touch = None if cycles_placed else _first_touch(branch, p_a, p_b, jumps)
+            if touch is None:
                 entries.extend(_arc_entries(branch, K, baths, p_a, p_b))
+            else:
+                start = int(touch != jumps[0]) if branch.kind == "hot" else 2 + int(touch != jumps[1])
+                entries.extend(_arc_entries(branch, K, baths, p_a, touch))
+                entries.extend((loop[start:] + loop[:start]) * n_cycles)
+                entries.extend(_arc_entries(branch, K, baths, touch, p_b))
+                cycles_placed = True
             if i < len(switches):
                 sw_branch, sw_p = switches[i]
                 entries.append(_switch(sw_branch, K, baths, sw_p))
@@ -352,16 +360,22 @@ def _candidate_plans(
     n_cycles: int,
     jumps: tuple[float, float] | None,
 ) -> list[TrajectoryPlan]:
+    loop: list[PlanEntry] = []
+    if n_cycles > 0 and jumps is not None:
+        try:
+            loop = _cycle_loop(K, baths, *jumps)
+        except ValueError:  # every candidate with cycles would fail on it
+            return []
     candidates: list[TrajectoryPlan] = []
     for branch in (COLD, HOT):
-        plan = _assemble(K, baths, p_in, u_in, p_out, u_out, [(branch, p_in, p_out)], [], n_cycles, jumps)
+        plan = _assemble(K, baths, p_in, u_in, p_out, u_out, [(branch, p_in, p_out)], [], n_cycles, jumps, loop)
         if plan is not None:
             candidates.append(plan)
     if jumps is not None:
         for branch in (COLD, HOT):
             for pj in dict.fromkeys(jumps):  # dedupe coincident points, keep order
                 legs = [(branch, p_in, pj), (_other(branch), pj, p_out)]
-                plan = _assemble(K, baths, p_in, u_in, p_out, u_out, legs, [(branch, pj)], n_cycles, jumps)
+                plan = _assemble(K, baths, p_in, u_in, p_out, u_out, legs, [(branch, pj)], n_cycles, jumps, loop)
                 if plan is not None:
                     candidates.append(plan)
     return candidates
@@ -482,10 +496,8 @@ class _DeadlinePricer:
             if jumps is not None:
                 base1 = self.plan(K, 1)
                 if base1 is not None:
-                    p1, p2 = jumps
-                    hot = segment_from_populations(HOT, K, self.baths, p1, p2)
-                    cold = segment_from_populations(COLD, K, self.baths, p2, p1)
-                    tau_cyc = hot.duration + cold.duration
+                    loop = _cycle_loop(K, self.baths, *jumps)
+                    tau_cyc = loop[0].duration + loop[2].duration if loop else 0.0
                     terms = (base1.total_time - tau_cyc, tau_cyc)
             self._cycles[K] = terms
         return self._cycles[K]
@@ -751,7 +763,7 @@ def _plan_blocks(
     for entry in plan.segments:
         if isinstance(entry, AdiabaticJump):
             u = np.array([entry.u_from, entry.u_to])
-            q = np.array([_q_at(plan, entry, u_val) for u_val in (entry.u_from, entry.u_to)])
+            q = np.array(_quench_q(entry, plan.K, plan.baths))
             branch = (entry.to_branch or entry.from_branch or COLD).kind
             yield entry, np.full(2, t0), u, np.full(2, entry.p), q, branch, np.full(2, heat_acc)
             continue
@@ -770,16 +782,6 @@ def sample_plan(plan: TrajectoryPlan, samples_per_segment: int = 1000) -> PlanSa
     # an empty plan gives six empty float arrays
     columns = zip(*blocks) if blocks else [[np.array(())]] * 6
     return PlanSamples(*map(np.concatenate, columns))
-
-
-def _q_at(plan: TrajectoryPlan, jump: AdiabaticJump, u_val: float) -> float:
-    """Costate at a quench endpoint: from the adjacent arc when one exists."""
-    branch = jump.from_branch if u_val == jump.u_from else jump.to_branch
-    if branch is None:
-        branch = jump.to_branch or jump.from_branch
-    if branch is None:
-        return 0.0
-    return isotherm_q_of_p(jump.p, _mu_on(branch, plan.K, plan.baths), plan.baths.beta(branch.kind))
 
 
 def _arc_controls(seg: IsothermSegment, baths: Baths) -> tuple[Callable, Callable]:

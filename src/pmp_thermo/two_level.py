@@ -11,7 +11,7 @@ implicit integrals chi(x) and xi(x), so no ODE is ever solved here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._roots import brentq
 
@@ -376,18 +376,7 @@ class EngineSolution:
     theta: float
 
     def to_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "K_star": self.K_star,
-            "p_star": self.p_star,
-            "u_c_star": self.u_c_star,
-            "u_h_star": self.u_h_star,
-            "eta_star": self.eta_star,
-            "eta_carnot": self.eta_carnot,
-            "eta_curzon_ahlborn": self.eta_curzon_ahlborn,
-            "g": self.g,
-            "theta": self.theta,
-        }
+        return asdict(self)
 
 
 def solve_engine(z: float, beta_c: float = 1.0, gamma: float = 1.0) -> EngineSolution:

@@ -203,6 +203,102 @@ class TestBuildTrajectory:
             build_trajectory(0.07, 1.0, 0.26, 6.0, 0.0, 0, baths03)
 
 
+def _reference_cycle_entries(start_branch, start_p, K, baths, p1, p2):
+    """The inner loop as plan assembly built it before it rotated one shared
+    loop: four steps from (start_branch, start_p), each an arc or a switch."""
+    entries = []
+    branch, p = start_branch, start_p
+    for _ in range(4):
+        if branch.kind == "hot":
+            if abs(p - p1) <= planner._P_TOL:
+                entries.extend(planner._arc_entries(HOT, K, baths, p1, p2))
+                branch, p = HOT, p2
+            else:
+                entries.append(planner._switch(HOT, K, baths, p2))
+                branch, p = COLD, p2
+        else:
+            if abs(p - p2) <= planner._P_TOL:
+                entries.extend(planner._arc_entries(COLD, K, baths, p2, p1))
+                branch, p = COLD, p1
+            else:
+                entries.append(planner._switch(COLD, K, baths, p1))
+                branch, p = HOT, p1
+    return entries
+
+
+def _cycle_start(plan, p1, p2):
+    """(index, branch, p) where a walk along the plan first stands on a switch
+    population, branch being that of the entry it is about to take."""
+    p = plan.p_in
+    for i, entry in enumerate(plan.segments):
+        if isinstance(entry, planner.AdiabaticJump):
+            if entry.kind == "entry":
+                continue
+            branch = entry.from_branch
+        else:
+            branch = entry.branch
+        for pj in (p1, p2):
+            if abs(p - pj) <= planner._P_TOL:
+                return i, branch, pj
+        if isinstance(entry, IsothermSegment):
+            p = isotherm_p(entry.x1, mu(plan.K, plan.baths.beta(branch.kind), branch, plan.baths.gamma))
+    raise AssertionError("the plan never meets a switch population")
+
+
+def _rotation_case(name):
+    """(endpoints, K) at z = 0.3 for each place a leg can meet the loop, and the tangency."""
+    sol = solve_engine(0.3)
+    if name == "tangency":
+        return (0.07, 1.0, 0.26, 6.0), sol.K_star
+    K = 0.65 * sol.K_star
+    p1, p2 = find_jump_points(K, Baths.from_ratio(0.3))
+    lo, mid = 0.5 * p1, 0.5 * (p1 + p2)
+    p_in, p_out = {"hot-p1": (lo, lo), "hot-p2": (mid, lo), "cold-p2": (p2, lo), "cold-p1": (mid, mid)}[name]
+    return (p_in, 1.0, p_out, 1.0), K
+
+
+class TestCycleRotation:
+    """Plans enter the shared loop where their leg meets it, as the former walk did."""
+
+    @pytest.mark.parametrize("name", ["hot-p1", "hot-p2", "cold-p2", "cold-p1", "tangency"])
+    def test_entries_match_reference_walk(self, baths03, name):
+        ends, K = _rotation_case(name)
+        p1, p2 = find_jump_points(K, baths03)
+        if name == "tangency":
+            assert p1 == p2
+        rest = None
+        for n in (1, 2, 3):
+            plan = build_trajectory(*ends, K, n, baths03)
+            segments = plan.segments
+            i, branch, p = _cycle_start(plan, p1, p2)
+            if name != "tangency":
+                assert f"{branch.kind}-p{1 if p == p1 else 2}" == name
+            block = _reference_cycle_entries(branch, p, K, baths03, p1, p2) * n
+            assert list(segments[i : i + len(block)]) == block
+            outside = segments[:i] + segments[i + len(block) :]
+            assert rest is None or outside == rest
+            rest = outside
+
+    # endpoints whose legs never run from one switch population to the other,
+    # so that only the loop builds these two arcs
+    @pytest.mark.parametrize("name", ["worked", "hot-p2", "cold-p1"])
+    def test_loop_arcs_built_once(self, baths03, monkeypatch, name):
+        """Three cycles and up to six candidates: the loop's two arcs are built once."""
+        ends, K = ((0.07, 1.0, 0.26, 6.0), K_REF) if name == "worked" else _rotation_case(name)
+        p1, p2 = find_jump_points(K, baths03)
+        calls = []
+        build = planner.segment_from_populations
+
+        def spy(branch, K, baths, p_from, p_to):
+            calls.append((branch.kind, p_from, p_to))
+            return build(branch, K, baths, p_from, p_to)
+
+        monkeypatch.setattr(planner, "segment_from_populations", spy)
+        build_trajectory(*ends, K, 3, baths03, _jumps=(p1, p2))
+        assert calls.count(("hot", p1, p2)) == 1
+        assert calls.count(("cold", p2, p1)) == 1
+
+
 class TestMonotonicityProfile:
     def test_analytic_matches_numeric(self, baths03, rng):
         rows_checked = 0
@@ -442,11 +538,11 @@ def _reference_sample_plan(plan, samples_per_segment=1000):
     for entry in plan.segments:
         if isinstance(entry, planner.AdiabaticJump):
             branch_label = (entry.to_branch or entry.from_branch or COLD).kind
-            for u_val in (entry.u_from, entry.u_to):
+            for u_val, q_val in zip((entry.u_from, entry.u_to), planner._quench_q(entry, plan.K, plan.baths)):
                 ts.append(t0)
                 us.append(u_val)
                 ps.append(entry.p)
-                qs.append(planner._q_at(plan, entry, u_val))
+                qs.append(q_val)
                 brs.append(branch_label)
                 qcums.append(heat_acc)
             continue
