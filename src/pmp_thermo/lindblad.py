@@ -36,6 +36,9 @@ __all__ = [
 
 _TRACE_DRIFT_LIMIT = 1e-8
 _RTOL = 1e-9
+# For a piece that carries u, whose stage values feed the rates of rho and Q: at _RTOL,
+# two solves of one plan differed by 1.5e-8 in sampled heat, at half of it by 4.9e-9
+_CARRIED_RTOL = _RTOL / 2
 _ATOL = 1e-12
 
 
@@ -357,29 +360,35 @@ def _adjoint_generator(y: list, energies: list, resets: list) -> list:
 class ProtocolPiece:
     """Smooth stretch of a control schedule; boundaries are declared discontinuities.
 
-    `u` may be a constant vector or a callable of the time s since the piece's
-    start; `dudt`, a callable of s, is the exact control velocity when
-    available (falls back to a central difference clamped to [0, duration]).
-    So one piece object can stand for every occurrence of a recurring arc,
-    and `integrate` solves it once.
+    s below is the time since the piece's start.  Without `dudt`, `u` is a
+    constant vector or a callable u(s), whose velocity is a central difference
+    clamped to [0, duration].  With `dudt`, `u` is the constant control at the
+    piece's start and du/ds = dudt(s, u): `integrate` carries u as solution
+    components, so a velocity given by the control itself needs no inversion.
+    One piece object can stand for every occurrence of a recurring arc, and
+    `integrate` solves it once.
     """
 
     duration: float
     u: np.ndarray | float | Callable[[float], np.ndarray]
     gamma_c: float
     gamma_h: float
-    dudt: Callable[[float], np.ndarray] | None = None
+    dudt: Callable[[float, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.dudt is not None and callable(self.u):
+            raise ValueError("a piece with dudt(s, u) takes u as its constant start value, not a callable u(s)")
 
     def u_at(self, s: float) -> np.ndarray:
+        """u(s); with `dudt`, the start value at any s."""
         if callable(self.u):
             return np.array(self.u(s), dtype=float, ndmin=1)
         return np.atleast_1d(np.asarray(self.u, dtype=float))
 
     def dudt_at(self, s: float) -> np.ndarray:
+        """du/ds of a piece without `dudt`."""
         if not callable(self.u):
             return np.zeros_like(self.u_at(s))
-        if self.dudt is not None:
-            return np.array(self.dudt(s), dtype=float, ndmin=1)
         h = max(1e-7 * self.duration, 1e-12)
         a = max(s - h, 0.0)
         b = min(s + h, self.duration)
@@ -416,8 +425,8 @@ class IntegrationResult:
 class _Solved:
     """The solved occurrence a of a recurring piece, from a diagonal start: its
     sample times s since its start, its solution rows y (rho entries, Q, W,
-    then atol I_k and atol J_k; the first column is the start), its output u
-    and the piece's total rate gamma_c + gamma_h."""
+    atol I_k, atol J_k, then u_k for a piece with `dudt`; the first column is
+    the start), its output u and the piece's total rate gamma_c + gamma_h."""
 
     s: np.ndarray
     y: np.ndarray
@@ -445,7 +454,7 @@ class _Solved:
         delta = pops - c * pops_a[:, 0]
         out = np.zeros((2 * n + 2, self.s.size))
         out[: n : dim + 1] = c * pops_a + np.multiply.outer(delta, np.exp(-self.rate * self.s))
-        i_k, j_k = y[2 * n + 2 : 2 * n + 1 + dim] / _ATOL, y[2 * n + 1 + dim :] / _ATOL
+        i_k, j_k = y[2 * n + 2 : 2 * n + 1 + dim] / _ATOL, y[2 * n + 1 + dim : 2 * n + 2 * dim] / _ATOL
         out[2 * n] = q + c * (y[2 * n] - y[2 * n, 0]) + self.rate * (delta[1:] @ i_k)
         out[2 * n + 1] = w + c * (y[2 * n + 1] - y[2 * n + 1, 0]) - delta[1:] @ j_k
         return out
@@ -463,12 +472,15 @@ def integrate(
     contribute work -<rho dH> at piece boundaries and no heat.  A piece is
     solved by DOP853 at rtol 1e-9 and atol 1e-12 on the vector (re rho,
     im rho, Q, W), stepping in global time t and asking its callables at
-    t - t_start.  A piece object that occurs more than once is solved once,
-    at its first occurrence from an exactly diagonal state, with the
-    integrals I_k = int E_k e^{-Gamma s} ds and J_k = int (du_k/ds) e^{-Gamma s} ds
-    (Gamma = gamma_c + gamma_h) as extra components; a later occurrence from
-    a diagonal state, which the model keeps diagonal, is mapped from that
-    solution exactly (`_Solved.map`), and one from any other state is solved.
+    t - t_start.  A piece with `dudt` appends its controls u_k to the vector,
+    after any extras below, and is solved at rtol 5e-10: its output u and the
+    gap where it ends come from the solution.  A piece object that occurs
+    more than once is solved once, at its first occurrence from an exactly
+    diagonal state, with the integrals I_k = int E_k e^{-Gamma s} ds and
+    J_k = int (du_k/ds) e^{-Gamma s} ds (Gamma = gamma_c + gamma_h) as extra
+    components; a later occurrence from a diagonal state, which the model
+    keeps diagonal, is mapped from that solution exactly (`_Solved.map`), its
+    u the solved one's, and one from any other state is solved.
     Raises ValueError for an invalid initial state, IntegrationError on step
     failure or for an occurrence whose sample times round to repeated
     values, and TraceDriftError when |tr rho - 1| exceeds 1e-8.  The error's
@@ -501,6 +513,8 @@ def integrate(
             # instantaneous quench: state frozen, work picks up the gap change
             w_acc += -float(np.trace(rho @ (model.hamiltonian(piece.u_at(0.0)) - h)).real)
         t_hi = t_lo + piece.duration
+        carried = piece.dudt is not None
+        u_end = piece.u_at(t_hi - t_lo)
         if piece.duration > 0.0:
             # the rates are fixed along a piece: checked here once, with u at its start
             ControlVector(piece.u_at(0.0), piece.gamma_c, piece.gamma_h)
@@ -511,23 +525,24 @@ def integrate(
             # a recurring piece is solved once from a diagonal start, which stays diagonal, then mapped
             diagonal = id(piece) in recurring and not np.count_nonzero(rho - np.diag(rho.diagonal().real))
             first = solved.get(id(piece)) if diagonal else None
+            m = 2 * n + 2 + 2 * (dim - 1) * diagonal  # where a carried u starts
             if first is not None:
                 ts, ys, u = t_eval, first.map(rho, q_acc, w_acc), first.u
             else:
 
-                def rhs(t, y, piece=piece, t_lo=t_lo, extra=diagonal):
-                    # np.float64 arithmetic would make each arc inversion about 1.7 times slower, same bits
+                def rhs(t, y, piece=piece, t_lo=t_lo, extra=diagonal, carried=carried, m=m):
+                    # plain floats: a piece's callables run faster on them than on np.float64, same bits
                     s = float(t) - t_lo
-                    u_t = piece.u_at(s)
+                    u_t = y[m:] if carried else piece.u_at(s)
                     _check_finite(u_t)
                     energies, resets = _terms(u_t, piece.gamma_c, piece.gamma_h, model)
+                    dudt = (np.array(piece.dudt(s, u_t), dtype=float, ndmin=1) if carried else piece.dudt_at(s)).tolist()
                     y = y.tolist()
                     ldot = _generator(y, energies, resets)
                     # -sum_i E_i ldot_ii and -sum_k (du_k/dt) rho_{k+1,k+1}, summed from 0 as _trace sums
                     dq = 0.0
                     for i, e in enumerate(energies):
                         dq = dq + e * ldot[i * (dim + 1)]
-                    dudt = piece.dudt_at(s).tolist()
                     dw = 0.0
                     for k, v in enumerate(dudt):
                         dw = dw + v * y[(k + 1) * (dim + 1)]
@@ -538,11 +553,14 @@ def integrate(
                         # DOP853 take steps about 25 % longer, with 10 times the first-law error
                         decay = _ATOL * math.exp(-(piece.gamma_c + piece.gamma_h) * s)
                         out += [e * decay for e in energies[1:]] + [v * decay for v in dudt]
+                    if carried:
+                        out += dudt
                     return np.array(out)
 
                 flat = rho.reshape(-1)
-                start = np.concatenate([flat.real, flat.imag, [q_acc, w_acc], np.zeros(2 * (dim - 1) * diagonal)])
-                ts, ys, failure = dop853(rhs, t_lo, t_hi, start, t_eval, _RTOL, _ATOL)
+                extras = [np.zeros(2 * (dim - 1) * diagonal), piece.u_at(0.0) if carried else ()]
+                start = np.concatenate([flat.real, flat.imag, [q_acc, w_acc], *extras])
+                ts, ys, failure = dop853(rhs, t_lo, t_hi, start, t_eval, _CARRIED_RTOL if carried else _RTOL, _ATOL)
                 if failure:
                     raise IntegrationError(f"integrator failed: {failure}", t=float(ts[-1]) if ts.size else t_lo)
             drift = np.abs(ys[:n : dim + 1].sum(axis=0) - 1.0)
@@ -550,7 +568,7 @@ def integrate(
             if bad.size:
                 raise TraceDriftError(f"trace drift {drift[bad[0]]:.3e}", t=float(ts[bad[0]]))
             if first is None:
-                u = np.array([piece.u_at(t - t_lo) for t in ts.tolist()])
+                u = ys[m:].T if carried else np.array([piece.u_at(t - t_lo) for t in ts.tolist()])
                 _check_finite(u)
                 if diagonal:
                     solved[id(piece)] = _Solved(ts - t_lo, ys, u, piece.gamma_c + piece.gamma_h)
@@ -558,7 +576,9 @@ def integrate(
             end = ys[:, -1]
             rho = (end[:n] + 1j * end[n : 2 * n]).reshape(dim, dim)
             q_acc, w_acc = end[2 * n : 2 * n + 2]
-        h = model.hamiltonian(piece.u_at(t_hi - t_lo))
+            if carried:
+                u_end = u[-1]
+        h = model.hamiltonian(u_end)
         t_lo = t_hi
 
     y = np.concatenate([ys for _, _, ys, _ in blocks], axis=1)

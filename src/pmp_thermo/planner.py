@@ -628,39 +628,6 @@ def _chi_slope(x: float, mu_val: float) -> float:
     return x * x - 2.0 * x / mu_val - 1.0
 
 
-def _arc_x(seg: IsothermSegment, mu_val: float, c0: float, gamma: float, dt: float) -> float:
-    """Control x at offset dt into the arc: the root of chi(x) = c0 + gamma dt, c0 = chi(x0).
-
-    Newton's method from linear interpolation in dt, bracketed between x0
-    (where chi - target < 0) and x1 (where it is > 0); a step that would
-    leave the bracket bisects it instead.  The arc ends return x0 and x1.
-    This is the form for one t at a time, as the integrator asks; `_arc_xs`
-    runs the same iteration over a grid of offsets and returns the same bits.
-    """
-    if dt <= 0.0:
-        return seg.x0
-    if dt >= seg.duration:
-        return seg.x1
-    target = c0 + gamma * dt
-    a, b = seg.x0, seg.x1
-    x = a + (b - a) * (dt / seg.duration)
-    for _ in range(_ARC_ITERS):
-        g = chi(x, mu_val) - target
-        if g == 0.0:
-            return x
-        if g < 0.0:
-            a = x
-        else:
-            b = x
-        x_new = x - g * x * (1.0 + x * x) / _chi_slope(x, mu_val)
-        if not min(a, b) < x_new < max(a, b):
-            x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= 1e-13 * x:
-            return x_new
-        x = x_new
-    return x
-
-
 def _math_map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     """fn of each element through the scalar math function: np.log and np.arctan
     round some arguments differently, and each sample must keep its scalar bits."""
@@ -668,11 +635,16 @@ def _math_map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 
 def _arc_xs(seg: IsothermSegment, mu_val: float, c0: float, gamma: float, dts: np.ndarray) -> np.ndarray:
-    """`_arc_x` at every offset of dts, bit for bit, as one lockstep iteration.
+    """Control x at each offset dt of dts into the arc: the root of
+    chi(x) = c0 + gamma dt, c0 = chi(x0), the one inversion of chi.
 
-    Each element keeps its own bracket, start, steps and stop rule; elements
-    that have stopped drop out of the active set.  chi is evaluated in the
-    order of two_level.chi, with atan and log element by element.
+    Newton's method from linear interpolation in dt, bracketed between x0
+    (where chi - target < 0) and x1 (where it is > 0); a step that would
+    leave the bracket bisects it instead.  The offsets run in lockstep, each
+    with its own bracket, start, steps and stop rule, and those that have
+    stopped drop out of the active set.  The arc ends return x0 and x1.  chi
+    is evaluated in the order of two_level.chi, with atan and log element by
+    element.
     """
     x = np.where(dts <= 0.0, seg.x0, seg.x1)
     idx = np.flatnonzero((dts > 0.0) & (dts < seg.duration))
@@ -784,50 +756,35 @@ def sample_plan(plan: TrajectoryPlan, samples_per_segment: int = 1000) -> PlanSa
     return PlanSamples(*map(np.concatenate, columns))
 
 
-def _arc_controls(seg: IsothermSegment, baths: Baths) -> tuple[Callable, Callable]:
-    """Exact u(s) and du/ds callables of one arc, s the time since its start."""
-    beta = baths.beta(seg.branch.kind)
-    mu_val = _mu_on(seg.branch, seg.K, baths)
-    c0 = chi(seg.x0, mu_val)
-    gamma = baths.gamma
-    # the integrator asks u and du/ds at the same s, so both share the latest inversion
-    s_last, x_last = math.nan, seg.x0
-
-    def x_at(s: float) -> float:
-        nonlocal s_last, x_last
-        if s != s_last:
-            s_last, x_last = s, _arc_x(seg, mu_val, c0, gamma, s)
-        return x_last
-
-    def u_of_s(s: float) -> float:
-        return (2.0 / beta) * math.log(x_at(s))
-
-    def dudt_of_s(s: float) -> float:
-        x = x_at(s)
-        return (2.0 * gamma / beta) * (x * x + 1.0) / _chi_slope(x, mu_val)
-
-    return u_of_s, dudt_of_s
-
-
 def plan_to_protocol(plan: TrajectoryPlan) -> Protocol:
     """Control schedule of the plan for the forward simulator.
 
-    Quenches collapse into piece boundaries; each arc carries the exact
-    control velocity so work quadrature stays at integrator order.  Every
-    occurrence of an arc is the same `ProtocolPiece` object, so `integrate`
-    solves each distinct arc once and maps its recurrences.
+    Quenches collapse into piece boundaries.  Each arc starts at its gap u0
+    and carries its exact velocity du/dt = (2 gamma/beta)(x^2 + 1)/(x^2 - 2x/mu - 1),
+    x = exp(beta u/2), the arc relation gamma t = chi(x) - chi(x0)
+    differentiated, so `integrate` carries the gap as a solution component
+    and inverts nothing.  Every occurrence of an arc is the same
+    `ProtocolPiece` object, so `integrate` solves each distinct arc once and
+    maps its recurrences.
     """
     pieces: dict[IsothermSegment, ProtocolPiece] = {}
     baths, arcs = plan.baths, plan.arcs
+    gamma = baths.gamma
     for seg in arcs:
         if seg not in pieces:
-            u_of_s, dudt_of_s = _arc_controls(seg, baths)
+            beta = baths.beta(seg.branch.kind)
+            mu_val = _mu_on(seg.branch, seg.K, baths)
+
+            def dudt(s: float, u: np.ndarray, beta: float = beta, mu_val: float = mu_val) -> float:
+                x = math.exp(0.5 * beta * u[0])
+                return (2.0 * gamma / beta) * (x * x + 1.0) / _chi_slope(x, mu_val)
+
             pieces[seg] = ProtocolPiece(
                 duration=seg.duration,
-                u=u_of_s,
-                gamma_c=baths.gamma if seg.branch.kind == "cold" else 0.0,
-                gamma_h=baths.gamma if seg.branch.kind == "hot" else 0.0,
-                dudt=dudt_of_s,
+                u=[(2.0 / beta) * math.log(seg.x0)],
+                gamma_c=gamma if seg.branch.kind == "cold" else 0.0,
+                gamma_h=gamma if seg.branch.kind == "hot" else 0.0,
+                dudt=dudt,
             )
     return Protocol(pieces=[pieces[seg] for seg in arcs])
 

@@ -442,8 +442,10 @@ def _reference_integrate(rho0, protocol, model, samples_per_piece=50):
     """integrate as it was before it built its result from the stacked solution:
     per-sample unpacking, a per-sample trace check and seven per-piece lists.
     It solves every piece, recurring or not, and asks each piece's callables
-    at the time since its start, t - t_lo."""
+    at the time since its start, t - t_lo.  A piece with dudt carries its u
+    after Q and W, and its output u and end gap come from the solution."""
     dim = model.dim
+    m = 2 * dim * dim + 2
 
     def pack(rho, q, w):
         flat = rho.reshape(-1)
@@ -463,36 +465,38 @@ def _reference_integrate(rho0, protocol, model, samples_per_piece=50):
     q_acc, w_acc = 0.0, 0.0
     h0 = model.hamiltonian(protocol.pieces[0].u_at(0.0))
     energy_initial = float(np.trace(rho0 @ h0).real)
-    prev_piece = prev_lo = None
+    u_end = None
     for piece in protocol.pieces:
         if piece.duration < 0.0:
             raise ValueError(f"negative piece duration {piece.duration}")
-        if prev_piece is not None:
-            h_prev = model.hamiltonian(prev_piece.u_at(t_lo - prev_lo))
+        if u_end is not None:
+            h_prev = model.hamiltonian(u_end)
             h_next = model.hamiltonian(piece.u_at(0.0))
             w_acc += -float(np.trace(rho @ (h_next - h_prev)).real)
         if piece.duration == 0.0:
-            prev_piece, prev_lo = piece, t_lo
+            u_end = piece.u_at(0.0)
             continue
         t_hi = t_lo + piece.duration
+        carried = piece.dudt is not None
         control_of = lambda t, piece=piece, t_lo=t_lo: ControlVector(
             u=piece.u_at(t - t_lo), gamma_c=piece.gamma_c, gamma_h=piece.gamma_h
         )
 
-        def rhs(t, y, piece=piece, t_lo=t_lo):
+        def rhs(t, y, piece=piece, t_lo=t_lo, carried=carried):
             rho_t, _, _ = unpack(y)
-            u_t = piece.u_at(t - t_lo)
+            u_t = y[m:] if carried else piece.u_at(t - t_lo)
             ctrl = ControlVector(u=u_t, gamma_c=piece.gamma_c, gamma_h=piece.gamma_h)
             ldot = lindblad_rhs(rho_t, ctrl, model)
             dq = -lindblad._trace(model.hamiltonian(u_t) @ ldot).real
             dh = model.dh_du(u_t)
-            dudt = piece.dudt_at(t - t_lo).tolist()
-            dw = -sum(v * lindblad._trace(rho_t @ dh[k]) for k, v in enumerate(dudt)).real
+            dudt = np.array(piece.dudt(t - t_lo, u_t), dtype=float, ndmin=1) if carried else piece.dudt_at(t - t_lo)
+            dw = -sum(v * lindblad._trace(rho_t @ dh[k]) for k, v in enumerate(dudt.tolist())).real
             flat = ldot.reshape(-1)
-            return np.concatenate([flat.real, flat.imag, [dq, dw]])
+            return np.concatenate([flat.real, flat.imag, [dq, dw], dudt if carried else []])
 
+        start = np.concatenate([pack(rho, q_acc, w_acc), piece.u_at(0.0) if carried else []])
         sol = solve_ivp(
-            rhs, (t_lo, t_hi), pack(rho, q_acc, w_acc), method="DOP853", rtol=1e-9, atol=1e-12,
+            rhs, (t_lo, t_hi), start, method="DOP853", rtol=5e-10 if carried else 1e-9, atol=1e-12,
             t_eval=np.linspace(t_lo, t_hi, max(samples_per_piece, 2)), dense_output=False,
         )
         if not sol.success:
@@ -504,15 +508,15 @@ def _reference_integrate(rho0, protocol, model, samples_per_piece=50):
                 raise TraceDriftError(f"trace drift {drift:.3e}", t=float(t))
         ts.append(sol.t)
         states.append(np.array([unpack(sol.y[:, i])[0] for i in range(sol.t.size)]))
-        us.append(np.array([control_of(t).u for t in sol.t]))
+        us.append(sol.y[m:].T if carried else np.array([control_of(t).u for t in sol.t]))
         gcs.append(np.full(sol.t.size, piece.gamma_c))
         ghs.append(np.full(sol.t.size, piece.gamma_h))
         qs.append(sol.y[2 * dim * dim, :].copy())
         ws.append(sol.y[2 * dim * dim + 1, :].copy())
         rho, q_acc, w_acc = unpack(sol.y[:, -1])
-        prev_piece, prev_lo = piece, t_lo
+        u_end = us[-1][-1] if carried else piece.u_at(t_hi - t_lo)
         t_lo = t_hi
-    h_final = model.hamiltonian(prev_piece.u_at(t_lo - prev_lo))
+    h_final = model.hamiltonian(u_end)
     ledger = ThermoLedger(
         heat_released=q_acc, work_done=w_acc, energy_initial=energy_initial,
         energy_final=float(np.trace(rho @ h_final).real),
@@ -576,7 +580,7 @@ class TestIntegrateAgainstReference:
         constant = ProtocolPiece(duration=0.7, u=a, gamma_c=1.0, gamma_h=0.0)
         zero = ProtocolPiece(duration=0.0, u=a + 1.0, gamma_c=0.0, gamma_h=1.0)
         no_dudt = ProtocolPiece(duration=0.9, u=lambda t: a + b * math.sin(3.0 * t), gamma_c=0.0, gamma_h=1.0)
-        exact = ProtocolPiece(duration=0.5, u=lambda t: a * (1.0 + 0.1 * t), gamma_c=0.4, gamma_h=0.6, dudt=lambda t: 0.1 * a)
+        exact = ProtocolPiece(duration=0.5, u=a, gamma_c=0.4, gamma_h=0.6, dudt=lambda s, u: 0.1 * a)
         rho0 = random_density(rng, dim)
         for pieces, samples in (
             ([constant, zero, no_dudt, exact, zero], 50),
@@ -597,7 +601,7 @@ class TestIntegrateAgainstReference:
         )
         # a control velocity that jumps by 1e100 halfway: the step size collapses there
         blow_up = ProtocolPiece(
-            duration=1.0, u=lambda t: np.array([1.0]), gamma_c=1.0, gamma_h=0.0, dudt=lambda t: np.array([1e100 if t > 0.5 else 1.0])
+            duration=1.0, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0, dudt=lambda s, u: np.array([1e100 if s > 0.5 else 1.0])
         )
         backwards = ProtocolPiece(duration=-1.0, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0)
         cases = (
@@ -621,7 +625,7 @@ class TestIntegrateAgainstReference:
         # the step size collapses at t = 0.5, between samples 24 (0.4898) and 25 (0.5102)
         # of linspace(0, 1, 50): the error carries the last sample reached, not 0.5
         blow_up = ProtocolPiece(
-            duration=1.0, u=lambda t: np.array([1.0]), gamma_c=1.0, gamma_h=0.0, dudt=lambda t: np.array([1e100 if t > 0.5 else 1.0])
+            duration=1.0, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0, dudt=lambda s, u: np.array([1e100 if s > 0.5 else 1.0])
         )
         rho0 = np.diag([0.8, 0.2]).astype(complex)
         with pytest.raises(IntegrationError) as err:
@@ -638,9 +642,10 @@ class TestRecurringPieces:
         "reference_plan", [f"z={z}-cycles={n}" for z in (0.2, 0.3, 0.5, 0.9) for n in (2, 3)], indirect=True
     )
     def test_plans_with_cycles(self, reference_plan):
-        # heat within 1e-9 relative of the closed form (9.1e-12 seen), states within
-        # 1e-8 of the step-by-step run (6.2e-11 seen), first law within 1e-10 (4.6e-11 seen,
-        # as much as the step-by-step run's)
+        # heat within 1e-9 relative of the closed form (1.1e-12 seen), states within
+        # 1e-8 of the step-by-step run (6.8e-10 seen), first law within 1e-10 (3.0e-11 seen),
+        # and the integrated gap of either run within 1e-9 relative of the arc's exact
+        # gap (7.1e-11 seen)
         plan = reference_plan
         rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
         model = TwoLevelResetModel(plan.baths)
@@ -651,7 +656,9 @@ class TestRecurringPieces:
         assert np.max(np.abs(res.states - twin.states)) <= 1e-8
         assert abs(res.ledger.first_law_residual) <= 1e-10
         assert np.array_equal(res.t, twin.t)
-        assert np.max(np.abs(res.u - twin.u)) <= 1e-12
+        exact = np.concatenate([planner._arc_rows(seg, plan.baths, 50)[1] for seg in plan.arcs])
+        for u in (res.u, twin.u):
+            assert np.all(np.abs(u[:, 0] - exact) <= 1e-9 * np.abs(exact))
         for name in ("q_cum", "w_cum"):
             assert np.max(np.abs(getattr(res, name) - getattr(twin, name))) <= 1e-8, name
 
@@ -689,7 +696,7 @@ class TestRecurringPieces:
         # the control velocity jumps by 1e100 halfway through the recurring piece: its
         # one solve fails there, and the error carries the last sample reached in it
         blow_up = ProtocolPiece(
-            duration=1.0, u=lambda s: np.array([1.0]), gamma_c=1.0, gamma_h=0.0, dudt=lambda s: np.array([1e100 if s > 0.5 else 1.0])
+            duration=1.0, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0, dudt=lambda s, u: np.array([1e100 if s > 0.5 else 1.0])
         )
         hot = ProtocolPiece(duration=0.4, u=np.array([1.0]), gamma_c=0.0, gamma_h=1.0)
         rho0 = np.diag([0.8, 0.2]).astype(complex)
@@ -769,6 +776,13 @@ def test_difference_fallback_late_in_a_protocol(baths03):
     assert late.ledger.work_done == pytest.approx(early.ledger.work_done, rel=1e-6)
 
 
+def test_callable_u_with_dudt_is_refused():
+    # dudt(s, u) integrates u from its start value: a callable u(s) beside it,
+    # the former contract, is refused rather than misread
+    with pytest.raises(ValueError, match=r"dudt\(s, u\) takes u as its constant start value, not a callable u\(s\)"):
+        ProtocolPiece(duration=1.0, u=lambda s: np.array([1.0 + s]), gamma_c=1.0, gamma_h=0.0, dudt=lambda s, u: 1.0)
+
+
 def test_rates_checked_once_per_piece(baths03, monkeypatch):
     # a piece's rates are fixed, so integrate validates them with one ControlVector
     # per piece of positive duration; the right-hand side checks only that u is
@@ -820,47 +834,30 @@ def test_controls_converted_once_per_rhs(baths03, monkeypatch):
     assert len(controls) <= len(rhs_calls) + 2
 
 
-def test_arc_inversion_gets_float_times(baths03, monkeypatch):
-    # the right-hand side takes float(t): np.float64 arithmetic makes each arc
-    # inversion about 1.7 times slower, with the same bits
-    plan = build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, 3, baths03)
-    arc_x = planner._arc_x
-    dt_types = []
-
-    def spy(seg, mu_val, c0, gamma, dt):
-        dt_types.append(type(dt))
-        return arc_x(seg, mu_val, c0, gamma, dt)
-
-    monkeypatch.setattr(planner, "_arc_x", spy)
-    rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
-    integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths03))
-    assert dt_types and set(dt_types) == {float}
-
-
 # integrate on the worked plan (z = 0.3, K = -0.05, endpoints (0.07, 1, 0.26, 6)),
 # each arc a distinct piece object: the sha256 of the bytes of t, states, u, q_cum
-# and w_cum, and the ledger's values and types (what its repr shows), as the
-# matrix-form generator gave them
+# and w_cum, and the ledger's values and types (what its repr shows), with each
+# arc's gap carried as a solution component
 WORKED_PLAN_BITS = {
     0: (
         {
             "t": "9d15a13f02b6380f9812396318cb8a79b6fbc1091afe7512cdfa3bbe807df43e",
-            "states": "e8605fcdf53cf9f7f9387c1ba5baffec2486322516d64ec7d07a073c172c655d",
-            "u": "73440d8dc22dd225fa10add371b8a127c1b5f11a292ad8633ba5ed68fecd5ed5",
-            "q_cum": "766b568037804a3d7e6588260ab87628f7b484c8d89628d2a7b1c6f030ce4ba8",
-            "w_cum": "f1c7bc8b7b320b70dc9dbb347e954781f207e8b14f93d65ca21b730508c8d2b7",
+            "states": "36128c12924c6e266e9b99386f4cf31dd38437b8c0de598920380b1712f5af57",
+            "u": "63407f797c63dbcf42afe84709306f0b5cd9a8d8dc42ee18e2291510e8b5c0f0",
+            "q_cum": "737402ab15c5b423e9f6b6574db8aeb7e0112e178269e965237242b3868fde62",
+            "w_cum": "55204ca876b63c6535a8acac57b2f596784282fc36bf6c5eb9ff470bcacd20a4",
         },
-        (-1.0375437148785265, 0.6128515050567852, 0.24060438473808426, 0.6652965945600258),
+        (-1.0375437148768143, 0.6128515050604488, 0.24060438473808426, 0.6652965945563994),
     ),
     3: (
         {
             "t": "fa9cd883676fb5af595343e92044be8412c8ba99ad5b0d1be15ac2423a1bf611",
-            "states": "2700456cb1bd871e2f882d24dcb3f5e8d5383af7fd5188aa6c93e42981ad7f41",
-            "u": "286619a8fbc76d3ea0889ca7438c6cdaf52e4360b88f63a060c06a7e29b3d8e2",
-            "q_cum": "7bc04d7ba9c932cce3562c288694f6a26665bc39d92f3ea0fa1b5c94bb97b6fb",
-            "w_cum": "c70a9f6ee21828058afe63a067a064fbc53b03f816270fe739c54dd30abc6bef",
+            "states": "91ccf76d2731250b2f87e15dfc29e250b7fb7d3a98cf7192933d784f9dc07eac",
+            "u": "22182f4628c0b3e8904a56ff431d5293372419dfeeff78da1e8c5d158e199194",
+            "q_cum": "4a0c81b438a1df4bdd679baf5fea7c1077904e6825e59eca4c4bbb66289808c0",
+            "w_cum": "be766b6abe43a89e5844574b150fa02c1c2942c1f5566e5a5a3a91a2eeec3816",
         },
-        (-2.6302272580644894, 2.2055350482485783, 0.24060438473808426, 0.6652965945563075),
+        (-2.6302272580681265, 2.2055350482717637, 0.24060438473808426, 0.6652965945639361),
     ),
 }
 
@@ -871,12 +868,12 @@ WORKED_PLAN_MAPPED_BITS = {
     3: (
         {
             "t": "fa9cd883676fb5af595343e92044be8412c8ba99ad5b0d1be15ac2423a1bf611",
-            "states": "afa713af5eb2c320823e893b58d0575e948cae8f49c35f785e83d4e98b9d8252",
-            "u": "203c2959a9fbd3fb294fce66469a53657bd19d9672d8d1871134dc6c4707258c",
-            "q_cum": "6f9ad2163496c5b1f1dadaf069037cb1655a56ecb38a553717a4de3c054241ba",
-            "w_cum": "fb24081dbcd626c32aff79e0697424b7d3b64327cec6362ee970ee7bb2e29bfd",
+            "states": "0d472eccd0bd2085518b97c77fb5fbc72ab633a972d076c0cb3708180404830e",
+            "u": "3cfb938bf9356058de1f31c7a0589410b6f5c629884366110a57ab8571e64228",
+            "q_cum": "511b1e0b477deac4131c21a62cee03ed4c2b642e973f9895acee7709d26d5edc",
+            "w_cum": "96e781de7a1e3879469fb9e32b081626338a29828ed98088fe3080e890ccf9f4",
         },
-        (-2.630227258066141, 2.2055350482501566, 0.24060438473808426, 0.6652965945563116),
+        (-2.6302272580742283, 2.205535048265947, 0.24060438473808426, 0.6652965945639309),
     ),
 }
 

@@ -120,8 +120,8 @@ def test_plans_mapped(compared, reference_plan):
     protocol = plan_to_protocol(plan)
     integrate(rho0, protocol, TwoLevelResetModel(plan.baths))
     assert len(compared) == len({id(piece) for piece in protocol.pieces}) == 4 < len(protocol.pieces)
-    # (re rho, im rho, Q, W) on the entry and exit arcs, and I, J on the two recurring ones
-    assert sorted(y.shape[0] for (_, y, _), _ in compared) == [10, 10, 12, 12]
+    # (re rho, im rho, Q, W, u) on the entry and exit arcs, with I, J before u on the two recurring ones
+    assert sorted(y.shape[0] for (_, y, _), _ in compared) == [11, 11, 13, 13]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -133,7 +133,7 @@ def test_ladder_pieces(compared, rng, dim, samples):
     pieces = [
         ProtocolPiece(duration=0.7, u=a, gamma_c=1.0, gamma_h=0.0),
         ProtocolPiece(duration=0.9, u=lambda t: a + b * math.sin(3.0 * t), gamma_c=0.0, gamma_h=1.0),
-        ProtocolPiece(duration=0.5, u=lambda t: a * (1.0 + 0.1 * t), gamma_c=0.4, gamma_h=0.6, dudt=lambda t: 0.1 * a),
+        ProtocolPiece(duration=0.5, u=a, gamma_c=0.4, gamma_h=0.6, dudt=lambda s, u: 0.1 * a),
     ]
     integrate(_random_density(rng, dim), Protocol(pieces=pieces, t0=1.7), model, samples_per_piece=samples)
     assert len(compared) == 3
@@ -174,8 +174,8 @@ def test_rejected_steps(compared, error_norms, baths03):
 
 def test_step_size_collapse(compared, baths03):
     # a control velocity that jumps to 1e100 halfway: the step size collapses there
-    piece = ProtocolPiece(duration=1.0, u=lambda t: np.array([1.0]), gamma_c=1.0, gamma_h=0.0,
-                          dudt=lambda t: np.array([1e100 if t > 0.5 else 1.0]))
+    piece = ProtocolPiece(duration=1.0, u=np.array([1.0]), gamma_c=1.0, gamma_h=0.0,
+                          dudt=lambda s, u: np.array([1e100 if s > 0.5 else 1.0]))
     with pytest.raises(lindblad.IntegrationError, match=_ode.TOO_SMALL_STEP):
         integrate(np.diag([0.8, 0.2]).astype(complex), Protocol(pieces=[piece]), TwoLevelResetModel(baths03))
     (t, y, message), _ = compared[0]
