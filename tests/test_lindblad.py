@@ -834,6 +834,24 @@ def test_controls_converted_once_per_rhs(baths03, monkeypatch):
     assert len(controls) <= len(rhs_calls) + 2
 
 
+def test_arc_inversion_gets_float_times(baths03):
+    # the right-hand side takes float(t): an arc's velocity, which stands in
+    # for the arc inversion, runs slower on np.float64 arithmetic, with the same bits
+    plan = build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, 3, baths03)
+    protocol = plan_to_protocol(plan)
+    s_types = []
+    for piece in {id(p): p for p in protocol.pieces}.values():
+
+        def spy(s, u, dudt=piece.dudt):
+            s_types.append(type(s))
+            return dudt(s, u)
+
+        piece.dudt = spy
+    rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
+    integrate(rho0, protocol, TwoLevelResetModel(baths03))
+    assert s_types and set(s_types) == {float}
+
+
 # integrate on the worked plan (z = 0.3, K = -0.05, endpoints (0.07, 1, 0.26, 6)),
 # each arc a distinct piece object: the sha256 of the bytes of t, states, u, q_cum
 # and w_cum, and the ledger's values and types (what its repr shows), with each

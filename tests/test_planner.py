@@ -905,6 +905,26 @@ def test_integrate_inverts_nothing(baths03, monkeypatch):
     assert set(calls) == {"chi", "_arc_xs"}
 
 
+def test_integrate_inverts_each_time_once(baths03, worked_plan, monkeypatch):
+    # the right-hand side reads the gap from the solution and asks du/dt once
+    # for it: no (time, gap) of an arc is evaluated twice, and chi not at all
+    monkeypatch.setattr(planner, "chi", lambda *args: pytest.fail("integrate inverted an arc"))
+    protocol = plan_to_protocol(worked_plan)
+    evaluated = []
+    for piece in {id(p): p for p in protocol.pieces}.values():
+
+        def spy(s, u, piece=piece, dudt=piece.dudt):
+            evaluated.append((id(piece), s, float(u[0])))
+            return dudt(s, u)
+
+        piece.dudt = spy
+    rho0 = np.diag([1.0 - worked_plan.p_in, worked_plan.p_in]).astype(complex)
+    res = integrate(rho0, protocol, TwoLevelResetModel(baths03))
+    assert res.ledger.heat_released == pytest.approx(worked_plan.total_heat, rel=1e-6)
+    assert len(evaluated) > 100
+    assert len(evaluated) == len(set(evaluated))
+
+
 @pytest.mark.parametrize("p_out", [1e-12, 1e-20, 1e-30])
 def test_integrate_near_empty_upper_level(p_out):
     # cold arcs from p = 0.07 down to p_out span many decades of x; integrating
