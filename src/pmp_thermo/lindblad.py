@@ -161,10 +161,6 @@ class DiagonalResetModel:
         self.baths = baths
         self.dim = dim
         self.n_controls = dim - 1
-        self._dh_du = np.zeros((self.n_controls, dim, dim), dtype=complex)
-        for k in range(self.n_controls):
-            self._dh_du[k, k + 1, k + 1] = 1.0
-        self._dh_du.flags.writeable = False
 
     def _controls(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -211,28 +207,12 @@ class DiagonalResetModel:
             h.T[k + 1, k + 1] = u.T[k]
         return h
 
-    def dh_du(self, u: np.ndarray) -> np.ndarray:
-        return self._dh_du
-
     def equilibrium(self, u: np.ndarray, kind: str) -> np.ndarray:
         u = self._controls(u)
         eta = np.zeros(u.shape[:-1] + (self.dim, self.dim), dtype=complex)
         for i, p in enumerate(self._gibbs(u, kind)):
             eta.T[i, i] = p
         return eta
-
-    def ddissipator_du(self, rho: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
-        """d D[rho] / d u_k, of shape (..., n_controls, dim, dim)."""
-        beta = self.baths.beta(kind)
-        u = self._controls(u)
-        pops = self._gibbs(u, kind)
-        tr = _trace(np.asarray(rho, dtype=complex))
-        out = np.zeros(u.shape[:-1] + (self.n_controls, self.dim, self.dim), dtype=complex)
-        for k in range(self.n_controls):
-            # d eta_i / d eps_k = beta * eta_i * (eta_k - delta_ik)
-            for i, p in enumerate(pops):
-                out.T[i, i, k] = beta * p * (pops[k + 1] - (i == k + 1)) * tr
-        return out
 
 
 class TwoLevelResetModel(DiagonalResetModel):

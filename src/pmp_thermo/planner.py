@@ -809,30 +809,25 @@ def validate_plan(plan: TrajectoryPlan, samples_per_segment: int = 200) -> dict:
     """Continuity, bang-bang sign consistency and PMP residuals of a plan.
 
     The residuals do not depend on t, so each distinct arc is checked once, as
-    one stack of samples; `nodes` still counts every sample of every arc.
-    `max_costate` compares the costate velocity under the adjoint generator,
-    with the traceless-gauge multiplier, against the arc's exact
-    diag(dq/dt, -dq/dt) (`_arc_rows`).
+    one stack of samples in one `pmp.arc_residuals` pass; `nodes` still counts
+    every sample of every arc.  `max_costate` compares the costate velocity
+    under the adjoint generator, with the traceless-gauge multiplier, against
+    the arc's exact diag(dq/dt, -dq/dt) (`_arc_rows`).
     """
     model = TwoLevelResetModel(plan.baths)
     dp, dq = plan.continuity_errors()
-    stat = worst_sign = costate = 0.0
-    stacks = []
+    cons = stat = worst_sign = costate = 0.0
     for seg, rows in _rows_by_arc(plan, samples_per_segment).items():
         stack = _arc_stack(seg, rows, plan.baths.gamma)
-        stacks.append(stack)
-        rho, pi, ctrl = stack.rho, stack.pi, stack.control
-        stat = max(stat, pmp.stationarity_residual(stack, model))
-        a = pmp.switching_functional(rho, pi, ctrl.u, model)
+        arc_cons, arc_stat, pi_dot, a = pmp.arc_residuals(stack, plan.K, model)
+        cons, stat = max(cons, arc_cons), max(stat, arc_stat)
         # cold arcs need A >= 0, hot arcs A <= 0, up to a tie tolerance
-        worst_sign = max(worst_sign, float(np.max(-a if ctrl.gamma_c > 0.0 else a)))
-        pi_dot = pmp.costate_rhs(pi, ctrl, model)
-        qdot = rows[5]
-        costate = max(costate, float(np.max(np.abs(pi_dot - _diagonal_stack(qdot, -qdot)))))
+        worst_sign = max(worst_sign, float(np.max(-a if stack.control.gamma_c > 0.0 else a)))
+        costate = max(costate, float(np.max(np.abs(pi_dot - _diagonal_stack(rows[5], -rows[5])))))
     return {
         "max_dp": dp,
         "max_dq": dq,
-        "max_conservation": pmp.conserved_k_residual(stacks, plan.K, model),
+        "max_conservation": cons,
         "max_stationarity": stat,
         "max_costate": costate,
         "max_bang_bang_violation": worst_sign,

@@ -5,13 +5,15 @@ under the adjoint generator with a gauge multiplier keeping it traceless, the
 pseudo-Hamiltonian is stationary under the gap control, and its value is a
 constant K.  This module gives the costate velocity, the pseudo-Hamiltonian,
 the bang-bang switching function and the residuals of the last two
-conditions; `planner.validate_plan` checks all three on every sampled arc.
+conditions; `arc_residuals` computes them all from one pass over a sampled
+arc, which `planner.validate_plan` runs once per distinct arc.
 
 Every function also takes stacks: states and costates of shape
 (..., dim, dim) with controls of shape (..., n_controls) are evaluated in one
 array pass, and each state of a stack gets the bits it gets alone.  The
-commutator with the diagonal H_u or dH/du, the reset map and its adjoint come
-from `lindblad`'s entry-wise kernels, which the forward simulation runs too.
+commutator with the diagonal H_u or dH/du, the reset map, its adjoint and its
+gap derivative are taken entry by entry with `lindblad`'s kernels, which the
+forward simulation runs too.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from .lindblad import (
     _commutator,
     _entries,
     _from_entries,
+    _generator,
     _sum,
     _terms,
     _trace,
-    lindblad_rhs,
+    lindblad_rhs,  # unused here; kept as pmp.lindblad_rhs, which perfbench/tracer.py rebinds
 )
 
 __all__ = [
@@ -43,25 +46,34 @@ __all__ = [
     "switching_functional",
     "conserved_k_residual",
     "stationarity_residual",
+    "arc_residuals",
 ]
 
 
 def _real(value: complex | np.ndarray) -> float | np.ndarray:
-    """Real part of traces: a float for one state; for a stack, an array in the
-    stack's axis order, which _trace reverses."""
+    """Real part of traces: a float for one state, for a stack an array in the stack's axis order."""
     value = np.real(value)
     return float(value) if np.ndim(value) == 0 else value.T
 
 
+def _pass(rho: np.ndarray | None, pi: np.ndarray, control: ControlVector, model) -> tuple[list | None, list, list, list]:
+    """One `_terms` pass for a state (None for none) and costate: the entries of rho and
+    of a = pi - H_u, the energies [0, *u] and the coupled baths (gamma_b, eta_b);
+    TypeError for a model other than the reset model."""
+    if not isinstance(model, DiagonalResetModel):
+        raise TypeError(f"model {model!r} is not a DiagonalResetModel")
+    pi = np.asarray(pi, dtype=complex)
+    if rho is not None and np.shape(rho) != pi.shape:
+        raise ValueError(f"costate shape {pi.shape} does not match state shape {np.shape(rho)}")
+    energies, resets = _terms(control.u, control.gamma_c, control.gamma_h, model)
+    y = None if rho is None else _entries(np.asarray(rho, dtype=complex))
+    return y, _entries(pi - model.hamiltonian(control.u)), energies, resets
+
+
 def pseudo_hamiltonian(rho: np.ndarray, pi: np.ndarray, control: ControlVector, model) -> float | np.ndarray:
     """<(pi - H_u) L_u[rho]>; the conserved scalar on optimal arcs."""
-    rho = np.asarray(rho, dtype=complex)
-    pi = np.asarray(pi, dtype=complex)
-    if pi.shape != rho.shape:
-        raise ValueError(f"costate shape {pi.shape} does not match state shape {rho.shape}")
-    h = model.hamiltonian(control.u)
-    ldot = lindblad_rhs(rho, control, model)
-    return _real(_trace((pi - h) @ ldot))
+    y, a, energies, resets = _pass(rho, pi, control, model)
+    return _real(_trace(_from_entries(a, model.dim) @ _from_entries(_generator(y, energies, resets), model.dim)))
 
 
 def adjoint_generator(a: np.ndarray, control: ControlVector, model: DiagonalResetModel) -> np.ndarray:
@@ -73,27 +85,28 @@ def adjoint_generator(a: np.ndarray, control: ControlVector, model: DiagonalRese
     return _from_entries(_adjoint_generator(_entries(np.asarray(a, dtype=complex)), energies, resets), model.dim)
 
 
-def _adjoint_pass(pi: np.ndarray, control: ControlVector, model) -> tuple[np.ndarray, float | np.ndarray]:
-    """L_u^dag[pi - H_u] and the multiplier -tr(L_u^dag[pi - H_u]) / dim that
-    keeps the costate traceless, from one adjoint pass."""
-    adj = adjoint_generator(np.asarray(pi, dtype=complex) - model.hamiltonian(control.u), control, model)
-    return adj, -_real(_trace(adj)) / model.dim
+def _costate(a: list, energies: list, resets: list, dim: int) -> tuple[np.ndarray, float | np.ndarray]:
+    """The costate velocity -(L_u^dag[a] + lam 1) of a = pi - H_u and the multiplier
+    lam = -tr(L_u^dag[a]) / dim that keeps the costate traceless, from one adjoint pass."""
+    adj = _from_entries(_adjoint_generator(a, energies, resets), dim)
+    lam = -_real(_trace(adj)) / dim
+    return -(adj + np.multiply.outer(lam, np.eye(dim, dtype=complex))), lam
 
 
 def costate_rhs(pi: np.ndarray, control: ControlVector, model) -> np.ndarray:
     """Costate velocity -(L_u^dag[pi - H_u] + lam 1), lam the multiplier
     `gauge_lambda` gives, taken from the same adjoint pass."""
-    adj, lam = _adjoint_pass(pi, control, model)
-    return -(adj + np.multiply.outer(lam, np.eye(model.dim, dtype=complex)))
+    return _costate(*_pass(None, pi, control, model)[1:], model.dim)[0]
 
 
 def gauge_lambda(pi: np.ndarray, control: ControlVector, model) -> float | np.ndarray:
     """Multiplier that keeps the costate traceless: -tr(L^dag[pi - H]) / dim."""
-    return _adjoint_pass(pi, control, model)[1]
+    return _costate(*_pass(None, pi, control, model)[1:], model.dim)[1]
 
 
 def switching_functional(rho: np.ndarray, pi: np.ndarray, u: np.ndarray | float, model) -> float | np.ndarray:
-    """Bang-bang selector: A = <(pi - H_u)(D_h - D_c)[rho]>.
+    """Bang-bang selector: A = <(pi - H_u)(D_h - D_c)[rho]>; TypeError for a model
+    other than the reset model.
 
     (D_h - D_c)[rho] = (eta_h - eta_c) tr(rho) for the diagonal Gibbs states
     eta_b, and eta_h - eta_c sums to zero, so A = tr(rho) sum_i (a_ii - a_kk)
@@ -101,6 +114,8 @@ def switching_functional(rho: np.ndarray, pi: np.ndarray, u: np.ndarray | float,
     The term of level k, whose populations cancel at a large gap, drops out,
     so A keeps its relative accuracy and its sign at any finite gap.
     """
+    if not isinstance(model, DiagonalResetModel):
+        raise TypeError(f"model {model!r} is not a DiagonalResetModel")
     rho = np.asarray(rho, dtype=complex)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     h = model.hamiltonian(u)
@@ -117,8 +132,8 @@ def switching_functional(rho: np.ndarray, pi: np.ndarray, u: np.ndarray | float,
 class TrajectoryNode:
     """One sample of a candidate optimal trajectory.
 
-    `stationarity_residual` also takes a node whose rho, pi and control.u carry
-    a leading sample axis, with one pair of damping rates for all samples.
+    The residual checkers also take a node whose rho, pi and control.u carry a
+    leading sample axis, with one pair of damping rates for all samples.
     """
 
     t: float | np.ndarray
@@ -134,10 +149,25 @@ def conserved_k_residual(nodes: Sequence[TrajectoryNode], K: float, model) -> fl
     the samples against it rather than re-estimating the constant.  On a
     stacked node the maximum also runs over the samples.
     """
+    return max([0.0] + [float(np.max(np.abs(pseudo_hamiltonian(n.rho, n.pi, n.control, model) - K))) for n in nodes])
+
+
+def _stationarity(y: list, a: np.ndarray, ldot: list, resets: list, control: ControlVector, model) -> float:
+    """max_k |<a d_k L[rho]> - <L[rho] d_k H>| from rho's entries, a = pi - H_u and
+    ldot = L_u[rho]'s entries.  d_k H projects on level k, so <L[rho] d_k H> is
+    ldot's entry (k, k), and d_k D_b[rho] = diag(beta_b eta_i (eta_k - delta_ik)) tr(rho)."""
+    dim, n = model.dim, model.dim**2
+    diag = range(0, n, dim + 1)
+    betas = [model.baths.beta(kind) for kind, rate in (("cold", control.gamma_c), ("hot", control.gamma_h)) if rate > 0.0]
+    tr_re, tr_im = _sum(y[j] for j in diag), _sum(y[n + j] for j in diag)
     worst = 0.0
-    for node in nodes:
-        value = pseudo_hamiltonian(node.rho, node.pi, node.control, model)
-        worst = max(worst, float(np.max(np.abs(value - K))))
+    for k in range(1, dim):
+        dl = _commutator(y, [float(i == k) for i in range(dim)])
+        for (rate, pops), beta in zip(resets, betas):
+            for i, j in enumerate(diag):
+                d = beta * pops[i] * (pops[k] - (i == k))
+                dl[j], dl[n + j] = dl[j] + rate * (d * tr_re), dl[n + j] + rate * (d * tr_im)
+        worst = max(worst, float(np.max(np.abs(_trace(a @ _from_entries(dl, dim)).real - ldot[k * (dim + 1)]))))
     return worst
 
 
@@ -148,22 +178,16 @@ def stationarity_residual(node: TrajectoryNode, model) -> float:
     by the sign of the switching function rather than by a stationarity
     condition.  On a stacked node the maximum also runs over the samples.
     """
-    rho, pi, ctrl = np.asarray(node.rho, dtype=complex), node.pi, node.control
-    h = model.hamiltonian(ctrl.u)
-    dh = model.dh_du(ctrl.u)
-    ldot = lindblad_rhs(rho, ctrl, model)
-    y = _entries(rho)
-    ddiss = [
-        rate * model.ddissipator_du(rho, ctrl.u, kind)
-        for kind, rate in (("cold", ctrl.gamma_c), ("hot", ctrl.gamma_h))
-        if rate > 0.0
-    ]
-    worst = 0.0
-    for k in range(model.n_controls):
-        dl = _from_entries(_commutator(y, np.diagonal(dh[k]).real.tolist()), model.dim)
-        for d in ddiss:
-            dl = dl + d[..., k, :, :]
-        lhs = _trace((pi - h) @ dl).real
-        rhs = _trace(ldot @ dh[k]).real
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    y, a, energies, resets = _pass(node.rho, node.pi, node.control, model)
+    return _stationarity(y, _from_entries(a, model.dim), _generator(y, energies, resets), resets, node.control, model)
+
+
+def arc_residuals(node: TrajectoryNode, K: float, model) -> tuple[float, float, np.ndarray, float | np.ndarray]:
+    """`conserved_k_residual([node], K)`, `stationarity_residual(node)`, and the
+    `costate_rhs` and `switching_functional` values of a node, from one `_terms` pass."""
+    y, a, energies, resets = _pass(node.rho, node.pi, node.control, model)
+    ldot, a_mat = _generator(y, energies, resets), _from_entries(a, model.dim)
+    conservation = float(np.max(np.abs(_real(_trace(a_mat @ _from_entries(ldot, model.dim))) - K)))
+    stationarity = _stationarity(y, a_mat, ldot, resets, node.control, model)
+    pi_dot = _costate(a, energies, resets, model.dim)[0]
+    return conservation, stationarity, pi_dot, switching_functional(node.rho, node.pi, node.control.u, model)

@@ -24,6 +24,7 @@ from pmp_thermo.lindblad import (
     integrate,
     lindblad_rhs,
 )
+from pmp_thermo.pmp import TrajectoryNode, pseudo_hamiltonian, stationarity_residual
 from pmp_thermo.two_level import COLD, Baths, mu, segment_from_populations
 from pmp_thermo.planner import TrajectoryPlan, build_trajectory, plan_to_protocol
 
@@ -48,11 +49,6 @@ class _ClosedFormTwoLevel:
     def equilibrium(self, u, kind):
         p_eq = 0.5 * (1.0 - math.tanh(0.5 * self.baths.beta(kind) * float(np.atleast_1d(u)[0])))
         return np.diag([1.0 - p_eq, p_eq]).astype(complex)
-
-    def ddissipator_du(self, rho, u, kind):
-        p_eq = self.equilibrium(u, kind)[1, 1].real
-        dp = -self.baths.beta(kind) * p_eq * (1.0 - p_eq)
-        return (np.diag([-dp, dp]).astype(complex) * np.trace(rho))[np.newaxis, :, :]
 
 
 def _cold_reset(rho, u, model):
@@ -120,16 +116,12 @@ class TestTwoLevelReset:
         model, ref = TwoLevelResetModel(baths), _ClosedFormTwoLevel(baths)
         for _ in range(20):
             u = np.array([float(rng.uniform(-8.0, 12.0))])
-            rho = random_density(rng)
             for kind in ("cold", "hot"):
-                for got, want in (
-                    (model.equilibrium(u, kind), ref.equilibrium(u, kind)),
-                    (model.ddissipator_du(rho, u, kind), ref.ddissipator_du(rho, u, kind)),
-                ):
-                    # two ulps of the largest entry: each form rounds on its own
-                    scale = max(1.0, float(np.max(np.abs(want))))
-                    assert got.shape == want.shape
-                    assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps * scale
+                got, want = model.equilibrium(u, kind), ref.equilibrium(u, kind)
+                # two ulps of the largest entry: each form rounds on its own
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps * scale
 
 
 class TestStackedModel:
@@ -149,19 +141,10 @@ class TestStackedModel:
     @pytest.mark.parametrize("kind", ["cold", "hot"])
     def test_methods_match_single_states(self, rng, dim, kind):
         model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
-        u, rho, _ = self.stack(rng, dim)
-        stacked = {
-            "hamiltonian": model.hamiltonian(u),
-            "equilibrium": model.equilibrium(u, kind),
-            "ddissipator_du": model.ddissipator_du(rho, u, kind),
-        }
-        assert stacked["ddissipator_du"].shape == (len(u), dim - 1, dim, dim)
+        u, _, _ = self.stack(rng, dim)
+        stacked = {"hamiltonian": model.hamiltonian(u), "equilibrium": model.equilibrium(u, kind)}
         for j in range(len(u)):
-            single = {
-                "hamiltonian": model.hamiltonian(u[j]),
-                "equilibrium": model.equilibrium(u[j], kind),
-                "ddissipator_du": model.ddissipator_du(rho[j], u[j], kind),
-            }
+            single = {"hamiltonian": model.hamiltonian(u[j]), "equilibrium": model.equilibrium(u[j], kind)}
             for name, want in single.items():
                 assert np.array_equal(stacked[name][j], want), (name, j)
 
@@ -177,26 +160,30 @@ class TestStackedModel:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_gap_derivative_matches_finite_difference(self, rng, dim):
-        # d D[rho] / d u_k against a central difference of the cold reset map, control by control
+        # the reset map's gap derivative lives in pmp's stationarity residual, which is
+        # max_k |d<(pi - H_u) L_u[rho]>/du_k|: against a central difference of the
+        # pseudo-Hamiltonian, control by control, at a node that is not stationary
         model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), dim)
-        u, rho, _ = self.stack(rng, dim, n=6)
-        u = u[2:]  # gaps away from the degenerate and the 700 rows
-        rho = rho[2:] * np.eye(dim)
+        u, rho, pi = self.stack(rng, dim, n=6)
         h = 1e-6
-        got = model.ddissipator_du(rho, u, "cold")
-        for k in range(dim - 1):
-            step = np.zeros(dim - 1)
-            step[k] = h
-            fd = (_cold_reset(rho, u + step, model) - _cold_reset(rho, u - step, model)) / (2 * h)
-            assert np.max(np.abs(got[:, k] - fd)) < 1e-8
+        for j in range(2, 6):  # gaps away from the degenerate and the 700 rows
+            rho_j = rho[j] * np.eye(dim)
+            for rates in ((1.0, 0.0), (0.6, 0.4)):
+                ctrl = lambda v: ControlVector(u=v, gamma_c=rates[0], gamma_h=rates[1])
+                fd = []
+                for k in range(dim - 1):
+                    step = np.zeros(dim - 1)
+                    step[k] = h
+                    up, down = (pseudo_hamiltonian(rho_j, pi[j], ctrl(u[j] + s), model) for s in (step, -step))
+                    fd.append(abs(up - down) / (2 * h))
+                got = stationarity_residual(TrajectoryNode(t=0.0, rho=rho_j, pi=pi[j], control=ctrl(u[j])), model)
+                assert max(fd) > 1e-3
+                assert abs(got - max(fd)) < 1e-8
 
     def test_two_leading_axes(self, rng):
         model = DiagonalResetModel(Baths(beta_c=1.0, beta_h=0.3), 3)
-        u, rho, _ = self.stack(rng, 3, n=12)
-        grid_u, grid_rho = u.reshape(3, 4, 2), rho.reshape(3, 4, 3, 3)
-        assert np.array_equal(model.equilibrium(grid_u, "hot").reshape(12, 3, 3), model.equilibrium(u, "hot"))
-        flat = model.ddissipator_du(rho, u, "hot")
-        assert np.array_equal(model.ddissipator_du(grid_rho, grid_u, "hot").reshape(12, 2, 3, 3), flat)
+        u, _, _ = self.stack(rng, 3, n=12)
+        assert np.array_equal(model.equilibrium(u.reshape(3, 4, 2), "hot").reshape(12, 3, 3), model.equilibrium(u, "hot"))
 
     def test_nonfinite_gap_in_stack_rejected(self):
         # the Gibbs populations of a stack check beta * u as one state's do
@@ -488,7 +475,7 @@ def _reference_integrate(rho0, protocol, model, samples_per_piece=50):
             ctrl = ControlVector(u=u_t, gamma_c=piece.gamma_c, gamma_h=piece.gamma_h)
             ldot = lindblad_rhs(rho_t, ctrl, model)
             dq = -lindblad._trace(model.hamiltonian(u_t) @ ldot).real
-            dh = model.dh_du(u_t)
+            dh = np.eye(dim, dtype=complex)[1:, :, None] * np.eye(dim)  # dH/du_k projects on level k + 1
             dudt = np.array(piece.dudt(t - t_lo, u_t), dtype=float, ndmin=1) if carried else piece.dudt_at(t - t_lo)
             dw = -sum(v * lindblad._trace(rho_t @ dh[k]) for k, v in enumerate(dudt.tolist())).real
             flat = ldot.reshape(-1)

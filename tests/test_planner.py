@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -855,21 +856,26 @@ class TestStackedValidation:
             t0 += arc.duration
 
     def test_one_stack_per_distinct_arc(self, baths03, monkeypatch):
-        # repeated cycles share their arcs, and a residual does not depend on t
+        # repeated cycles share their arcs, and a residual does not depend on t: one
+        # pmp pass per distinct arc, with three Gibbs evaluations, two of them the
+        # switching function's
         plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
-        seen = []
-        check = pmp.stationarity_residual
-        monkeypatch.setattr(pmp, "stationarity_residual", lambda node, model: seen.append(node) or check(node, model))
+        seen, passes, gibbs = [], [], []
+        arc_residuals, one_pass, one_gibbs = pmp.arc_residuals, pmp._pass, TwoLevelResetModel._gibbs
+        monkeypatch.setattr(pmp, "arc_residuals", lambda node, K, model: seen.append(node) or arc_residuals(node, K, model))
+        monkeypatch.setattr(pmp, "_pass", lambda *args: passes.append(args) or one_pass(*args))
+        monkeypatch.setattr(TwoLevelResetModel, "_gibbs", lambda self, u, kind: gibbs.append(kind) or one_gibbs(self, u, kind))
         validate_plan(plan, samples_per_segment=20)
-        assert len(seen) == len(set(plan.arcs)) < len(plan.arcs)
+        assert len(seen) == len(passes) == len(set(plan.arcs)) < len(plan.arcs)
         assert all(node.rho.shape == (20, 2, 2) for node in seen)
+        assert len(gibbs) == 3 * len(set(plan.arcs)) == 12
 
     def test_one_adjoint_pass_per_distinct_arc(self, baths03, monkeypatch):
         # the costate velocity and its traceless multiplier share one adjoint pass
         plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
         seen = []
-        adjoint = pmp.adjoint_generator
-        monkeypatch.setattr(pmp, "adjoint_generator", lambda a, control, model: seen.append(a) or adjoint(a, control, model))
+        adjoint = pmp._adjoint_generator
+        monkeypatch.setattr(pmp, "_adjoint_generator", lambda a, *args: seen.append(a) or adjoint(a, *args))
         validate_plan(plan)
         assert len(seen) == len(set(plan.arcs)) < len(plan.arcs)
 
@@ -886,6 +892,39 @@ class TestStackedValidation:
 
         monkeypatch.setattr(planner, "_arc_rows", shifted)
         assert validate_plan(plan)["max_costate"] == pytest.approx(1e-6 * baths03.gamma, rel=1e-6)
+
+    def test_conservation_residual_sees_a_wrong_k(self):
+        # arcs built at K checked against 2K: the baseline reads 4.7e-2 at 0.65 K*
+        plan = build_trajectory(*ENDPOINTS.values(), 0.65 * solve_engine(0.3).K_star, 1, Baths.from_ratio(0.3))
+        assert validate_plan(plan)["max_conservation"] < 1e-9
+        assert validate_plan(dataclasses.replace(plan, K=2 * plan.K))["max_conservation"] > 1e-2
+
+    def test_stationarity_residual_sees_a_wrong_population(self, baths03, monkeypatch):
+        # p off by 1e-6 moves dH/du = -gamma (p_eq(u) - p) - (2q + u) gamma p_eq'(u) by gamma 1e-6
+        plan = build_trajectory(*ENDPOINTS.values(), K_REF, 1, baths03)
+        assert validate_plan(plan)["max_stationarity"] < 1e-9
+        arc_rows = planner._arc_rows
+
+        def shifted(seg, baths, samples):
+            dt, u, p, q, heat, qdot = arc_rows(seg, baths, samples)
+            return dt, u, p + 1e-6, q, heat, qdot
+
+        monkeypatch.setattr(planner, "_arc_rows", shifted)
+        assert validate_plan(plan)["max_stationarity"] == pytest.approx(1e-6 * baths03.gamma, rel=1e-6)
+
+    def test_bang_bang_violation_sees_the_wrong_bath(self, baths03, monkeypatch):
+        # each arc's samples checked as if the other bath drove them
+        plan = build_trajectory(*ENDPOINTS.values(), K_REF, 1, baths03)
+        assert validate_plan(plan)["max_bang_bang_violation"] == 0.0
+        arc_stack = planner._arc_stack
+
+        def swapped(seg, rows, gamma):
+            node = arc_stack(seg, rows, gamma)
+            c = node.control
+            return dataclasses.replace(node, control=pmp.ControlVector(u=c.u, gamma_c=c.gamma_h, gamma_h=c.gamma_c))
+
+        monkeypatch.setattr(planner, "_arc_stack", swapped)
+        assert validate_plan(plan)["max_bang_bang_violation"] > 0.0
 
 
 def test_integrate_inverts_nothing(baths03, monkeypatch):

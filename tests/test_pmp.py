@@ -119,6 +119,24 @@ class TestCostateRhs:
         pi_dot = costate_rhs(pi, ctrl, model)
         assert np.max(np.abs(pi_dot)) < 1e-15
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model: pseudo_hamiltonian(diag_state(0.3), diag_costate(0.1), cold_ctrl(1.0), model),
+            lambda model: costate_rhs(diag_costate(0.1), cold_ctrl(1.0), model),
+            lambda model: gauge_lambda(diag_costate(0.1), cold_ctrl(1.0), model),
+            lambda model: switching_functional(diag_state(0.3), diag_costate(0.1), np.array([1.0]), model),
+            lambda model: stationarity_residual(
+                TrajectoryNode(t=0.0, rho=diag_state(0.3), pi=diag_costate(0.1), control=cold_ctrl(1.0)), model
+            ),
+        ],
+        ids=["pseudo_hamiltonian", "costate_rhs", "gauge_lambda", "switching_functional", "stationarity_residual"],
+    )
+    def test_foreign_model_fatal(self, call):
+        # a model other than the reset model has no adjoint generator and no gap derivative
+        with pytest.raises(TypeError, match="DiagonalResetModel"):
+            call(object())
+
     def test_missing_adjoint_fatal(self):
         class NoAdjoint:
             dim = 2

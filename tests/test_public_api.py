@@ -81,8 +81,9 @@ def test_no_unused_private_names():
     assert not unused
 
 
-# perfbench/tracer.py rebinds planner.adiabatic_f; tests/test_tracer_targets.py guards the pair
-KEPT_IMPORTS = {("planner.py", "adiabatic_f")}
+# perfbench/tracer.py rebinds planner.adiabatic_f and pmp.lindblad_rhs; tests/test_tracer_targets.py
+# guards each pair
+KEPT_IMPORTS = {("planner.py", "adiabatic_f"), ("pmp.py", "lindblad_rhs")}
 
 
 def _top_level_imports(path, tree):
