@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -117,7 +118,9 @@ class TrajectoryPlan:
     p_out: float
     u_out: float
 
-    @property
+    # the arcs and totals are computed once per plan: cached_property writes the
+    # instance __dict__, which leaves the frozen fields, ==, hash and replace alone
+    @cached_property
     def arcs(self) -> tuple[IsothermSegment, ...]:
         return tuple(s for s in self.segments if isinstance(s, IsothermSegment))
 
@@ -129,11 +132,11 @@ class TrajectoryPlan:
     def switch_jumps(self) -> tuple[AdiabaticJump, ...]:
         return tuple(j for j in self.jumps if j.kind == "switch")
 
-    @property
+    @cached_property
     def total_time(self) -> float:
         return _sum(a.duration for a in self.arcs)
 
-    @property
+    @cached_property
     def total_heat(self) -> float:
         return _sum(a.heat for a in self.arcs)
 
@@ -350,22 +353,31 @@ def _assemble(
     )
 
 
-def _candidate_plans(
+def _plan_loop(K: float, baths: Baths, n_cycles: int, jumps: tuple[float, float] | None) -> list[PlanEntry] | None:
+    """The loop the candidates with n_cycles repeat: [] when they have no
+    cycles or no switch populations, None when it cannot be built (every
+    candidate with cycles would fail on it)."""
+    if n_cycles == 0 or jumps is None:
+        return []
+    try:
+        return _cycle_loop(K, baths, *jumps)
+    except ValueError:
+        return None
+
+
+def _least_heat_plan(
     K: float,
     baths: Baths,
-    p_in: float,
-    u_in: float,
-    p_out: float,
-    u_out: float,
+    ends: tuple[float, float, float, float],
     n_cycles: int,
     jumps: tuple[float, float] | None,
-) -> list[TrajectoryPlan]:
-    loop: list[PlanEntry] = []
-    if n_cycles > 0 and jumps is not None:
-        try:
-            loop = _cycle_loop(K, baths, *jumps)
-        except ValueError:  # every candidate with cycles would fail on it
-            return []
+    loop: list[PlanEntry] | None,
+) -> TrajectoryPlan | None:
+    """The candidate releasing the least heat, ties to fewer entries; None when
+    no candidate is admissible.  ends is (p_in, u_in, p_out, u_out)."""
+    if loop is None:
+        return None
+    p_in, u_in, p_out, u_out = ends
     candidates: list[TrajectoryPlan] = []
     for branch in (COLD, HOT):
         plan = _assemble(K, baths, p_in, u_in, p_out, u_out, [(branch, p_in, p_out)], [], n_cycles, jumps, loop)
@@ -378,7 +390,7 @@ def _candidate_plans(
                 plan = _assemble(K, baths, p_in, u_in, p_out, u_out, legs, [(branch, pj)], n_cycles, jumps, loop)
                 if plan is not None:
                     candidates.append(plan)
-    return candidates
+    return min(candidates, key=lambda plan: (plan.total_heat, len(plan.segments)), default=None)
 
 
 def build_trajectory(
@@ -418,13 +430,13 @@ def build_trajectory(
             _jumps = find_jump_points(K, baths)
         except NoJumpPoints:
             _jumps = None
-    candidates = _candidate_plans(K, baths, p_in, u_in, p_out, u_out, n_cycles, _jumps)
-    if not candidates:
+    loop = _plan_loop(K, baths, n_cycles, _jumps)
+    plan = _least_heat_plan(K, baths, (p_in, u_in, p_out, u_out), n_cycles, _jumps, loop)
+    if plan is None:
         if _jumps is None:
             raise Unreachable(K, "no switch populations exist and no single arc joins the endpoints")
         raise Unreachable(K, "no admissible arc sequence honors the flow directions")
-    candidates.sort(key=lambda plan: (plan.total_heat, len(plan.segments)))
-    return candidates[0]
+    return plan
 
 
 def monotonicity_profile(
@@ -494,9 +506,10 @@ class _DeadlinePricer:
             jumps = self.jumps(K)
             terms = None
             if jumps is not None:
-                base1 = self.plan(K, 1)
+                # the 1-cycle plan and tau_cyc share one loop
+                loop = _plan_loop(K, self.baths, 1, jumps)
+                base1 = _least_heat_plan(K, self.baths, self.args, 1, jumps, loop)
                 if base1 is not None:
-                    loop = _cycle_loop(K, self.baths, *jumps)
                     tau_cyc = loop[0].duration + loop[2].duration if loop else 0.0
                     terms = (base1.total_time - tau_cyc, tau_cyc)
             self._cycles[K] = terms

@@ -11,6 +11,7 @@ implicit integrals chi(x) and xi(x), so no ODE is ever solved here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 from ._roots import brentq
@@ -295,6 +296,25 @@ def _log_p_kernels(K: float, baths: Baths):
     return f, h
 
 
+def _tangency_root(h, xatol: float, s0: float | None = None) -> float:
+    """The sign change of the tangency function h in s = log p, to `xatol`.
+
+    Without a start, brentq over the whole search range; a minimum below
+    p = 1e-250 is reported there.  With a start s0, brentq over s0 +- w, where
+    w starts at 1e-3 max(1, |s0|) and grows 8-fold until h changes sign in
+    the bracket; the whole range is searched once the bracket leaves it.
+    """
+    if s0 is not None:
+        w = 1e-3 * max(1.0, abs(s0))
+        while _S_LO <= s0 - w and s0 + w <= _S_HI:
+            a, b = s0 - w, s0 + w
+            h_a, h_b = h(a), h(b)
+            if h_a <= 0.0 <= h_b:  # brentq's first two points are a and b: it gets these values
+                return brentq(lambda s: h_a if s == a else h_b if s == b else h(s), a, b, xtol=xatol)
+            w *= 8.0
+    return _S_LO if h(_S_LO) >= 0.0 else brentq(h, _S_LO, _S_HI, xtol=xatol)
+
+
 def adiabatic_f_min(K: float, baths: Baths, xatol: float = 1e-13) -> tuple[float, float]:
     """Minimum of f(., K) over p and its location.
 
@@ -306,8 +326,34 @@ def adiabatic_f_min(K: float, baths: Baths, xatol: float = 1e-13) -> tuple[float
     if K >= 0.0:
         raise ValueError(f"branch switches require K < 0, got {K}")
     f, h = _log_p_kernels(K, baths)
-    s = _S_LO if h(_S_LO) >= 0.0 else brentq(h, _S_LO, _S_HI, xtol=xatol)
+    s = _tangency_root(h, xatol)
     return f(s), math.exp(s)
+
+
+_UNIT_ROUNDOFF = 0.5 * sys.float_info.epsilon
+
+
+def _f_and_df_dk(s: float, K: float, baths: Baths) -> tuple[float, float, float]:
+    """f at (p = e^s, K), its partial derivative in K and its rounding level, from one kernel evaluation.
+
+    With D = sqrt(mu^2 + 4pq), d(log x)/dK = -mu / (2 K D) on both branches
+    (dmu/dK = mu / 2K and dx/dmu = -x / D), which gives df/dK term by term.
+    The rounding level is the unit roundoff times the sum of the magnitudes
+    of f's terms.
+    """
+    mu_c_val, mu_h_val = _mu_pair(K, baths)
+    p, q = math.exp(s), -math.expm1(s)
+    x_c, x_h = _x_pair(p, q, mu_c_val, mu_h_val)
+    four_pq = 4.0 * p * q
+    a_c = -mu_c_val / (2.0 * K * math.sqrt(mu_c_val * mu_c_val + four_pq))
+    a_h = -mu_h_val / (2.0 * K * math.sqrt(mu_h_val * mu_h_val + four_pq))
+    r = x_c / x_h
+    root_bb = math.sqrt(baths.beta_c * baths.beta_h)
+    df_dk = (r + 1.0 / r) * (a_c - a_h) + 2.0 * root_bb * (a_c / baths.beta_c - a_h / baths.beta_h)
+    level = _UNIT_ROUNDOFF * (
+        r + 1.0 / r + 2.0 * root_bb * (abs(math.log(x_c)) / baths.beta_c + abs(math.log(x_h)) / baths.beta_h)
+    )
+    return _f_of_x(x_c, x_h, baths), df_dk, level
 
 
 # |f at its minimum| below this counts as tangency (coincident switch points)
@@ -379,22 +425,36 @@ class EngineSolution:
         return asdict(self)
 
 
+# Newton steps in K before SolverError.  A solve takes 4 to 9 for z in
+# 1e-4 ... 0.9999, and at most 15 in a random draw of 6000 z in 1e-12 ...
+# 1 - 3e-16; bisection alone needs about 50 to bring K to the rounding level
+# of f, so a run of Newton steps that keep leaving the bracket fails here
+# instead of ending as a bisection.
+_NEWTON_MAXITER = 30
+
+
 def solve_engine(z: float, beta_c: float = 1.0, gamma: float = 1.0) -> EngineSolution:
     """Solve for the lowest admissible emission rate K* and its working point.
 
     f and the tangency depend on K only through beta_c*K/gamma, so the solve
-    runs at unit scale and K* is scaled back at the end.  The merge point is
-    where the minimum of f(., K) over p crosses zero; that minimum rises
-    through zero as K falls, so one brentq in K finds K*, each evaluation a
-    brentq in log p (adiabatic_f_min), and one more adiabatic_f_min at K*
-    gives p*.  Both solves are bracketed: a 2-D Newton on (f, tangency) is
-    ill-conditioned exactly at the tangency.
+    runs at unit scale and K* is scaled back at the end.  K* is the zero of
+    F(K) = min_p f(p, K), which falls through zero as K rises.  By the
+    envelope theorem F'(K) is the partial derivative df/dK at the minimiser,
+    which has a closed form (_f_and_df_dk) and is negative for every K < 0,
+    so K* is found by Newton's method in K.  Each step minimises f over
+    log p by brentq on the tangency function, started from the previous
+    minimiser, and p* is the last minimiser (to 1e-15 in log p).  The steps
+    keep a sign bracket in K; one that leaves it is replaced by a bisection,
+    geometric while the ends differ by more than a factor of 2.  The solve
+    stops when |F| is within the rounding level of f, or after taking a step
+    within 4 ulps of K, and raises SolverError after _NEWTON_MAXITER steps.
 
     The SolverError gate is absolute (|f| and the tangency residual at most
     1e-10), while f scales like |K*|, about 0.0275 (1 - z)^2 near z = 1; there
     the gate certifies nothing.  Against a 50-digit mpmath solve, K* is off by
-    8.4e-7 relative at z = 1 - 1e-10, 2.1e-5 at 1 - 1e-11 and 5.3e-4 at
-    1 - 1e-12.
+    5.5e-6 relative at z = 1 - 1e-10, 8.2e-5 at 1 - 1e-11 and 5.8e-4 at
+    1 - 1e-12: there the rounding of f alone leaves K* uncertain by about
+    1.3e-15 / (1 - z) relative.
     """
     if not 0.0 < z < 1.0:
         raise ValueError(f"temperature ratio must lie in (0, 1), got {z}")
@@ -403,16 +463,33 @@ def solve_engine(z: float, beta_c: float = 1.0, gamma: float = 1.0) -> EngineSol
 
     theta = lambert_w0(math.exp(-1.0)) / 4.0
     # K* satisfies -K* <= theta/z, so 3x that brackets from below.  Near z = 1,
-    # K* behaves like -0.0275 (1 - z)^2, so the upper end shrinks with it, and
-    # so does the absolute tolerance, which leaves rtol in charge.
+    # K* behaves like -0.0275 (1 - z)^2, so the upper end shrinks with it.
+    # Newton starts from -theta (1 - z)^2 / z: K* as z -> 0, and 2.5 K* as z -> 1.
     lo = -3.0 * theta / z
     hi = -min(1e-12, 1e-3 * (1.0 - z) ** 2)
-    f_lo = adiabatic_f_min(lo, baths)[0]
-    if f_lo < 0.0:  # pragma: no cover - safety net
-        raise SolverError(f"failed to bracket the root-merging K for z={z}")
-    # brentq's first point is lo: it gets the value just computed, not a second solve
-    K = brentq(lambda k: f_lo if k == lo else adiabatic_f_min(k, baths)[0], lo, hi, xtol=1e-18 * abs(hi), rtol=1e-15)
-    p = adiabatic_f_min(K, baths, xatol=1e-15)[1]
+    K, s = -theta * (1.0 - z) ** 2 / z, None
+    for _ in range(_NEWTON_MAXITER):
+        s = _tangency_root(_log_p_kernels(K, baths)[1], 1e-15, s)
+        F, dF, level = _f_and_df_dk(s, K, baths)
+        if abs(F) <= level:
+            break
+        if F > 0.0:
+            lo = K
+        else:
+            hi = K
+        K_next = K - F / dF
+        if not lo < K_next < hi:
+            K_next = -math.sqrt(lo * hi) if lo < 2.0 * hi else 0.5 * (lo + hi)
+        # a step within 4 ulps is the last, and taken: at z below about 1e-10 one
+        # ulp of K moves f by more than its rounding level.  p* stays the
+        # minimiser at the K before it.
+        done = abs(K_next - K) <= 8.0 * _UNIT_ROUNDOFF * abs(K)
+        K = K_next
+        if done:
+            break
+    else:
+        raise SolverError(f"engine solve did not converge at z={z}: no Newton step in K met the tolerance")
+    p = math.exp(s)
 
     f_res = abs(adiabatic_f(p, K, baths))
     t_res = tangency_residual(p, K, baths)

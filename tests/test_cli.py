@@ -105,7 +105,7 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--z-min", "0.2", "--z-max", "0.8", "--steps", "5", "--out", str(out))
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "88540921e06990864bf7a5fc35e19185c3b447788601de2ab5dc4b90e10b2394"
+        assert digest == "8beb546939b9ffdf6a0df27392656231947c009bd6cdfebdb84358a67a74de34"
 
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--z-min", "0.9", "--z-max", "0.1", "--steps", "5")

@@ -107,6 +107,14 @@ class TestCycleDecomposition:
 
 
 class TestBuildTrajectory:
+    def test_totals_cached_outside_the_fields(self, worked_plan):
+        plan = dataclasses.replace(worked_plan)
+        arcs, total_time, total_heat = plan.arcs, plan.total_time, plan.total_heat
+        assert plan.arcs is arcs and plan.total_time is total_time and plan.total_heat is total_heat
+        assert plan == worked_plan and hash(plan) == hash(worked_plan)
+        assert dataclasses.asdict(plan).keys() == {f.name for f in dataclasses.fields(plan)}
+        assert total_heat == worked_plan.total_heat and total_time == worked_plan.total_time
+
     def test_empty_plan(self, baths03):
         plan = build_trajectory(0.2, 1.0, 0.2, 1.0, K_REF, 0, baths03)
         assert plan.segments == ()
@@ -457,6 +465,25 @@ class TestDeadlineSearch:
         plan = plan_for_deadline(*ENDPOINTS.values(), tau, baths03)
         assert abs(plan.total_time - tau) <= 1e-9 * tau
         assert len(calls) <= 150
+
+    @pytest.mark.parametrize("z", [0.3, 0.9])
+    def test_cycle_terms_reuse_the_plan_loop(self, monkeypatch, z):
+        # pricing a K builds the 1-cycle plan's arcs and no loop of its own
+        baths = Baths.from_ratio(z)
+        K = 0.5 * solve_engine(z).K_star
+        pricer = planner._DeadlinePricer(*ENDPOINTS.values(), baths)
+        jumps = pricer.jumps(K)
+        arcs, loops = [], []
+        segment_from_populations, cycle_loop = planner.segment_from_populations, planner._cycle_loop
+        monkeypatch.setattr(planner, "segment_from_populations", lambda *a: arcs.append(a) or segment_from_populations(*a))
+        monkeypatch.setattr(planner, "_cycle_loop", lambda *a: loops.append(a) or cycle_loop(*a))
+        tau_arcs, tau_cyc = pricer.cycle_terms(K)
+        priced = (len(arcs), len(loops))
+        arcs.clear()
+        loops.clear()
+        plan = build_trajectory(*ENDPOINTS.values(), K, 1, baths, _jumps=jumps)
+        assert priced == (len(arcs), len(loops)) == (len(arcs), 1)
+        assert tau_cyc > 0.0 and tau_arcs + tau_cyc == pytest.approx(plan.total_time, rel=1e-15)
 
 
 class TestSamplingAndExport:

@@ -35,7 +35,9 @@ from pmp_thermo.two_level import (
     solve_engine,
     xi,
 )
-from pmp_thermo.two_level import _log_p_kernels
+from pmp_thermo import two_level
+from pmp_thermo._roots import brentq
+from pmp_thermo.two_level import EngineSolution, _f_and_df_dk, _log_p_kernels, _mu_pair, adiabatic_f_min, tangency_residual
 
 K_REF = -0.05
 
@@ -387,19 +389,24 @@ def engine_grid_oracle(z, k_lo, k_hi, n_rounds=40, n_p=10_000):
     return 0.5 * (k_lo + k_hi)
 
 
+def _switch_terms_mpmath(p, K, z):
+    """mu_c, mu_h, x_c, x_h and f at (p, K) in mpmath, at beta_c = gamma = 1."""
+    beta_c, beta_h = mp.mpf(1), mp.mpf(z)
+    mu_c, mu_h = -mp.sqrt(-beta_c * K), mp.sqrt(-beta_h * K)
+    x_c = (mp.sqrt(mu_c**2 + 4 * p * (1 - p)) - mu_c) / (2 * p)
+    x_h = 2 * (1 - p) / (mp.sqrt(mu_h**2 + 4 * p * (1 - p)) + mu_h)
+    r = x_c / x_h
+    f = r - 1 / r + 2 * mp.sqrt(beta_c * beta_h) * (mp.log(x_c) / beta_c - mp.log(x_h) / beta_h)
+    return mu_c, mu_h, x_c, x_h, f
+
+
 def _k_star_mpmath(z, p0, k0):
     """K* at 50 digits: the root of f = 0 and the merging condition in (p, K),
     with K = k0 c so that both unknowns are of order one."""
     with mp.workdps(50):
-        beta_c, beta_h = mp.mpf(1), mp.mpf(z)
 
         def equations(p, c):
-            K = mp.mpf(k0) * c
-            mu_c, mu_h = -mp.sqrt(-beta_c * K), mp.sqrt(-beta_h * K)
-            x_c = (mp.sqrt(mu_c**2 + 4 * p * (1 - p)) - mu_c) / (2 * p)
-            x_h = 2 * (1 - p) / (mp.sqrt(mu_h**2 + 4 * p * (1 - p)) + mu_h)
-            r = x_c / x_h
-            f = r - 1 / r + 2 * mp.sqrt(beta_c * beta_h) * (mp.log(x_c) / beta_c - mp.log(x_h) / beta_h)
+            mu_c, mu_h, x_c, x_h, f = _switch_terms_mpmath(p, mp.mpf(k0) * c, z)
             merge = (x_c + 1 / x_c) / mu_c + (x_h + 1 / x_h) / mu_h
             return f / mu_c**2, merge * mu_c
 
@@ -407,28 +414,69 @@ def _k_star_mpmath(z, p0, k0):
         return float(mp.mpf(k0) * c)
 
 
+def _reference_solve_engine(z, beta_c=1.0, gamma=1.0):
+    """The engine solve as it was before the Newton solve in K, kept to check
+    it against: one brentq in K, each evaluation a brentq in log p
+    (adiabatic_f_min), then one more adiabatic_f_min at K* for p*."""
+    scaled = Baths.from_ratio(z, beta_c=beta_c, gamma=gamma)
+    baths = Baths.from_ratio(z)
+
+    theta = lambert_w0(math.exp(-1.0)) / 4.0
+    lo = -3.0 * theta / z
+    hi = -min(1e-12, 1e-3 * (1.0 - z) ** 2)
+    f_lo = adiabatic_f_min(lo, baths)[0]
+    if f_lo < 0.0:
+        raise SolverError(f"failed to bracket the root-merging K for z={z}")
+    K = brentq(lambda k: f_lo if k == lo else adiabatic_f_min(k, baths)[0], lo, hi, xtol=1e-18 * abs(hi), rtol=1e-15)
+    p = adiabatic_f_min(K, baths, xatol=1e-15)[1]
+
+    f_res = abs(adiabatic_f(p, K, baths))
+    t_res = tangency_residual(p, K, baths)
+    if f_res > 1e-10 or t_res > 1e-10:
+        raise SolverError(
+            f"engine solve did not converge at z={z}: |f|={f_res:.3e}, tangency={t_res:.3e}",
+            residuals=(f_res, t_res),
+        )
+
+    mu_c_val, mu_h_val = _mu_pair(K, baths)
+    u_c = isotherm_u_of_p(p, mu_c_val, scaled.beta_c)
+    u_h = isotherm_u_of_p(p, mu_h_val, scaled.beta_h)
+    return EngineSolution(
+        z=z,
+        K_star=K * (gamma / beta_c),
+        p_star=p,
+        u_c_star=u_c,
+        u_h_star=u_h,
+        eta_star=1.0 - u_c / u_h,
+        eta_carnot=1.0 - z,
+        eta_curzon_ahlborn=1.0 - math.sqrt(z),
+        g=-K,
+        theta=theta,
+    )
+
+
 # float.hex of (K*, p*) for (z, beta_c, gamma): z at the middle of each of the
 # benchmark's 16 engine-curve strata (log-spaced in 1e-4 ... 0.9999), one z
 # near 1, and a far unit scale at z = 0.3
 ENGINE_BITS = [
-    (0.000133352, 1.0, 1.0, '-0x1.04b4acbc802dap+9', '0x1.bdc5ad4d8a89cp-4'),
-    (0.000237135, 1.0, 1.0, '-0x1.24f782fbf1704p+8', '0x1.bd923629fd889p-4'),
-    (0.00042169, 1.0, 1.0, '-0x1.4907bd7c82dbcp+7', '0x1.bd3e1ded639a4p-4'),
-    (0.000749878, 1.0, 1.0, '-0x1.712e2353a9e82p+6', '0x1.bcb5c6697291ap-4'),
-    (0.00133348, 1.0, 1.0, '-0x1.9d92f71088096p+5', '0x1.bbdac8be565bcp-4'),
-    (0.00237129, 1.0, 1.0, '-0x1.ce16f56505f8fp+4', '0x1.ba7f03af337f4p-4'),
-    (0.00421679, 1.0, 1.0, '-0x1.01092006fae1fp+4', '0x1.b85e73017eea0p-4'),
-    (0.00749859, 1.0, 1.0, '-0x1.1bee17a39f3ecp+3', '0x1.b518ab77d04e4p-4'),
-    (0.0133345, 1.0, 1.0, '-0x1.3605e42e713c2p+2', '0x1.b02cbdc632b53p-4'),
-    (0.0237123, 1.0, 1.0, '-0x1.4c2892a4bbd92p+1', '0x1.a8fda2c843b56p-4'),
-    (0.0421669, 1.0, 1.0, '-0x1.58fa74f249c67p+0', '0x1.9eeaed94b872bp-4'),
-    (0.074984, 1.0, 1.0, '-0x1.54429948dad8fp-1', '0x1.918fad690ce12p-4'),
-    (0.133342, 1.0, 1.0, '-0x1.3338f9687af19p-2', '0x1.8137e01095de0p-4'),
-    (0.237117, 1.0, 1.0, '-0x1.d801b0da0af7dp-4', '0x1.6f7f126f6a79bp-4'),
-    (0.421658, 1.0, 1.0, '-0x1.00b674b69939ep-5', '0x1.5fb25d69d6c3cp-4'),
-    (0.749822, 1.0, 1.0, '-0x1.5834c6b22e93dp-9', '0x1.5629072c290a8p-4'),
-    (0.999999999, 1.0, 1.0, '-0x1.0346628e7a885p-65', '0x1.54e056c13846cp-4'),
-    (0.3, 250.0, 0.02, '-0x1.8204dea671cf1p-18', '0x1.68916e3eb8a5ep-4'),
+    (0.000133352, 1.0, 1.0, '-0x1.04b4acbc802ddp+9', '0x1.bdc5ad4d8a895p-4'),
+    (0.000237135, 1.0, 1.0, '-0x1.24f782fbf1705p+8', '0x1.bd923629fd886p-4'),
+    (0.00042169, 1.0, 1.0, '-0x1.4907bd7c82dbfp+7', '0x1.bd3e1ded639a4p-4'),
+    (0.000749878, 1.0, 1.0, '-0x1.712e2353a9e83p+6', '0x1.bcb5c66972916p-4'),
+    (0.00133348, 1.0, 1.0, '-0x1.9d92f71088097p+5', '0x1.bbdac8be565c3p-4'),
+    (0.00237129, 1.0, 1.0, '-0x1.ce16f56505f90p+4', '0x1.ba7f03af337f1p-4'),
+    (0.00421679, 1.0, 1.0, '-0x1.01092006fae1ep+4', '0x1.b85e73017eea0p-4'),
+    (0.00749859, 1.0, 1.0, '-0x1.1bee17a39f3efp+3', '0x1.b518ab77d04e4p-4'),
+    (0.0133345, 1.0, 1.0, '-0x1.3605e42e713c1p+2', '0x1.b02cbdc632b5ap-4'),
+    (0.0237123, 1.0, 1.0, '-0x1.4c2892a4bbd94p+1', '0x1.a8fda2c843b59p-4'),
+    (0.0421669, 1.0, 1.0, '-0x1.58fa74f249c65p+0', '0x1.9eeaed94b8725p-4'),
+    (0.074984, 1.0, 1.0, '-0x1.54429948dad92p-1', '0x1.918fad690ce15p-4'),
+    (0.133342, 1.0, 1.0, '-0x1.3338f9687af19p-2', '0x1.8137e01095ddap-4'),
+    (0.237117, 1.0, 1.0, '-0x1.d801b0da0af81p-4', '0x1.6f7f126f6a79dp-4'),
+    (0.421658, 1.0, 1.0, '-0x1.00b674b6993a3p-5', '0x1.5fb25d69d6c37p-4'),
+    (0.749822, 1.0, 1.0, '-0x1.5834c6b22e936p-9', '0x1.5629072c290a2p-4'),
+    (0.999999999, 1.0, 1.0, '-0x1.034669829b43bp-65', '0x1.54e058e63732ap-4'),
+    (0.3, 250.0, 0.02, '-0x1.8204dea671cf2p-18', '0x1.68916e3eb8a5cp-4'),
 ]
 
 
@@ -510,6 +558,66 @@ class TestEngineSolver:
         with pytest.raises(SolverError, match="did not converge at z=0.3") as err:
             solve_engine(0.3)
         assert err.value.residuals[0] <= 1e-10 < err.value.residuals[1]
+
+
+# the ENGINE_BITS rows up to z = 0.9 and the unit scales of tests/test_roots.py
+ENGINE_ZS = sorted({row[0] for row in ENGINE_BITS if row[0] <= 0.9})
+UNIT_SCALES = [(1.0, 1.0), (1e-3, 7.0), (250.0, 0.02)]
+
+
+class TestNewtonInK:
+    @pytest.mark.parametrize("z", [1e-4, 1e-2, 0.3, 0.7, 0.9, 0.99])
+    def test_df_dk_against_mpmath(self, z):
+        baths = Baths.from_ratio(z)
+        for s in (-20.0, -5.0, -2.4, -0.5, -1e-3):
+            for K in (-5.0, -0.05, -1e-3, -1e-6):
+                with mp.workdps(40):
+                    ref = mp.diff(lambda k: _switch_terms_mpmath(mp.exp(s), k, z)[4], mp.mpf(K))
+                df_dk = _f_and_df_dk(s, K, baths)[1]
+                assert abs(df_dk - ref) <= 1e-13 * abs(ref), (s, K)
+
+    @pytest.mark.parametrize("z", [1e-4, 0.3, 0.9])
+    def test_wrong_signed_derivative_raises(self, monkeypatch, z):
+        f_and_df_dk = two_level._f_and_df_dk
+
+        def flipped(s, K, baths):
+            f, df_dk, level = f_and_df_dk(s, K, baths)
+            return f, -df_dk, level
+
+        monkeypatch.setattr(two_level, "_f_and_df_dk", flipped)
+        with pytest.raises(SolverError, match=f"did not converge at z={z}"):
+            solve_engine(z)
+
+    @pytest.mark.parametrize("beta_c, gamma", UNIT_SCALES)
+    @pytest.mark.parametrize("z", ENGINE_ZS)
+    def test_matches_nested_brentq_and_mpmath(self, z, beta_c, gamma):
+        sol = solve_engine(z, beta_c=beta_c, gamma=gamma)
+        ref = _reference_solve_engine(z, beta_c=beta_c, gamma=gamma)
+        k_unit = sol.K_star * beta_c / gamma
+        k_mp = _k_star_mpmath(z, sol.p_star, k_unit) * (gamma / beta_c)
+        # Both solves stop where the rounding of f hides its sign, a band of
+        # relative width level / |K df/dK| around K* (2.2e-15 at z = 0.75).
+        # Each is held to 2e-15 of the 50-digit K*, or to two bands if wider.
+        _, df_dk, level = _f_and_df_dk(math.log(sol.p_star), k_unit, Baths.from_ratio(z))
+        tol = max(2e-15, 2.0 * level / abs(df_dk * k_unit))
+        assert abs(sol.K_star - k_mp) <= tol * abs(k_mp)
+        assert abs(sol.K_star - ref.K_star) <= 2.0 * tol * abs(ref.K_star)
+        assert abs(sol.p_star - ref.p_star) <= 4e-15 * ref.p_star
+
+    @pytest.mark.parametrize("z", ENGINE_ZS)
+    def test_evaluation_budget(self, monkeypatch, z):
+        # one _x_pair call per evaluation of f, h or df/dK; the nested brentq
+        # solve made 200 to 286 of them at these z
+        calls = []
+        x_pair = two_level._x_pair
+
+        def counted(*args):
+            calls.append(args)
+            return x_pair(*args)
+
+        monkeypatch.setattr(two_level, "_x_pair", counted)
+        solve_engine(z)
+        assert len(calls) <= 120
 
 
 @pytest.fixture(scope="module")
