@@ -3,7 +3,9 @@
 All outputs are deterministic given the flags (fixed 15-significant-digit
 formatting, atomic writes); the oracle report's wall_time field is the one
 exception.  Exit codes: 0 success, 2 usage, 3 infeasible endpoints or
-deadline, 4 solver or integration failure.
+deadline, 4 solver or integration failure: one table, `_EXIT_CODES`, maps every
+typed failure to its code in `main`, apart from isotherm's inadmissible arc (3)
+and sweep's per-point `# FAILED` rows (4).  Write errors (OSError) propagate.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import bruteforce, planner, two_level
-from .lindblad import TwoLevelResetModel, integrate
+from .lindblad import IntegrationError, TwoLevelResetModel, integrate
 from .planner import _fmt
 from .two_level import Baths, SolverError
 
@@ -28,6 +30,18 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
+
+# the first matching row wins, so a subclass takes its base's code; OSError has no row
+_EXIT_CODES: dict[type[Exception], int] = {
+    SolverError: EXIT_SOLVER,
+    IntegrationError: EXIT_SOLVER,
+    planner.Unreachable: EXIT_INFEASIBLE,
+    planner.DeadlineInfeasible: EXIT_INFEASIBLE,
+    bruteforce.InfeasibleTarget: EXIT_INFEASIBLE,
+    two_level.NoJumpPoints: EXIT_INFEASIBLE,
+    planner.NoCycleExists: EXIT_INFEASIBLE,
+    ValueError: EXIT_USAGE,
+}
 
 
 def _atomic_write(*files: tuple[str, Callable[[TextIO], object]]) -> None:
@@ -68,11 +82,7 @@ def _engine_json(sol: two_level.EngineSolution) -> str:
 
 
 def _cmd_engine(args: argparse.Namespace) -> int:
-    try:
-        sol = two_level.solve_engine(args.z, beta_c=args.beta_c, gamma=args.gamma)
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    sol = two_level.solve_engine(args.z, beta_c=args.beta_c, gamma=args.gamma)
     text = _engine_json(sol)
     _export(args.out, lambda fh: fh.write(text))
     if args.schedule:
@@ -96,11 +106,9 @@ def _cmd_engine(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if not (0.0 < args.z_min < args.z_max < 1.0):
-        print("error: need 0 < z-min < z-max < 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need 0 < z-min < z-max < 1")
     if args.steps < 2:
-        print("error: steps must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("steps must be >= 2")
     failed = []
 
     def write(fh: TextIO) -> None:
@@ -126,8 +134,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     _export(args.out, write)
     if failed:
-        print(f"error: solver failed at {len(failed)} grid point(s)", file=sys.stderr)
-        return EXIT_SOLVER
+        raise SolverError(f"solver failed at {len(failed)} grid point(s)")
     return EXIT_OK
 
 
@@ -135,15 +142,19 @@ def _cmd_isotherm(args: argparse.Namespace) -> int:
     baths = Baths.from_ratio(args.z, beta_c=args.beta_c, gamma=args.gamma)
     branch = two_level.COLD if args.branch == "cold" else two_level.HOT
     if args.K >= 0.0:
-        print("error: K must be negative", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("K must be negative")
     beta = baths.beta(branch.kind)
     mu_val = two_level.mu(args.K, beta, branch, baths.gamma)
-    x0 = math.exp(0.5 * beta * args.u0)
-    x1 = math.exp(0.5 * beta * args.u1)
+    xs = []
+    for flag, u in (("--u0", args.u0), ("--u1", args.u1)):
+        try:
+            xs.append(math.exp(0.5 * beta * u))
+        except OverflowError:
+            raise ValueError(f"{flag} {u} is out of range: exp(beta*u/2) overflows") from None
+    x0, x1 = xs
     try:
         seg = two_level.make_segment(branch, args.K, baths, x0, x1)
-    except ValueError as exc:
+    except ValueError as exc:  # an arc that cannot join the two gaps is infeasible, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     plan = planner.TrajectoryPlan(
@@ -157,26 +168,13 @@ def _cmd_isotherm(args: argparse.Namespace) -> int:
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
     baths = Baths.from_ratio(args.z, beta_c=args.beta_c, gamma=args.gamma)
-    try:
-        if args.deadline is not None:
-            plan = planner.plan_for_deadline(
-                args.p_in, args.u_in, args.p_out, args.u_out, args.deadline, baths,
-                max_cycles=args.max_cycles,
-            )
-        else:
-            if args.K is None:
-                print("error: provide --K or --deadline", file=sys.stderr)
-                return EXIT_USAGE
-            plan = planner.build_trajectory(
-                args.p_in, args.u_in, args.p_out, args.u_out, args.K, args.cycles, baths
-            )
-    except (planner.Unreachable, planner.DeadlineInfeasible) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
+    ends = (args.p_in, args.u_in, args.p_out, args.u_out)
+    if args.deadline is not None:
+        plan = planner.plan_for_deadline(*ends, args.deadline, baths, max_cycles=args.max_cycles)
+    elif args.K is None:
+        raise ValueError("provide --K or --deadline")
+    else:
+        plan = planner.build_trajectory(*ends, args.K, args.cycles, baths)
     _atomic_write(
         (args.out_prefix + ".csv", lambda fh: planner.write_plan_csv(plan, fh, samples_per_segment=args.samples)),
         (args.out_prefix + ".json", lambda fh: planner.write_plan_json(plan, fh)),
@@ -190,13 +188,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     baths = Baths.from_ratio(args.z, beta_c=args.beta_c, gamma=args.gamma)
-    try:
-        plan = planner.build_trajectory(
-            args.p_in, args.u_in, args.p_out, args.u_out, args.K, 0, baths
-        )
-    except planner.Unreachable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    plan = planner.build_trajectory(args.p_in, args.u_in, args.p_out, args.u_out, args.K, 0, baths)
     levels = tuple(float(v) for v in np.linspace(0.0, args.u_max, args.levels))
     grid = bruteforce.ProtocolGrid(
         n_intervals=args.intervals,
@@ -204,11 +196,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         bath_patterns=bruteforce.single_switch_patterns(args.intervals),
         tau=plan.total_time,
     )
-    try:
-        res = bruteforce.grid_search(args.p_in, args.p_out, grid, baths, p_tol=args.p_tol)
-    except bruteforce.InfeasibleTarget as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    res = bruteforce.grid_search(args.p_in, args.p_out, grid, baths, p_tol=args.p_tol)
     report = bruteforce.comparison_report(plan.total_heat, res)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     _export(args.out, lambda fh: fh.write(text))
@@ -411,19 +399,23 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, arg
         if token.startswith("--"):
             explicit.add(token.split("=", 1)[0].lstrip("-").replace("-", "_"))
     types = _subcommand_types(parser, args.command)
-    with open(args.config) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{args.config}:{line_no}: expected key=value, got {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            dest = key.lstrip("-").replace("-", "_")
-            if dest in explicit or not hasattr(args, dest) or dest in ("config", "command", "func", "needs"):
-                continue
-            caster = types.get(dest)
-            setattr(args, dest, caster(value) if caster is not None else value)
+    try:
+        with open(args.config) as fh:
+            lines = fh.readlines()
+    except OSError as exc:  # an unreadable config file is a usage error
+        raise ValueError(exc) from exc
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{args.config}:{line_no}: expected key=value, got {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        dest = key.lstrip("-").replace("-", "_")
+        if dest in explicit or not hasattr(args, dest) or dest in ("config", "command", "func", "needs"):
+            continue
+        caster = types.get(dest)
+        setattr(args, dest, caster(value) if caster is not None else value)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -432,19 +424,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(parser, args, argv)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    missing = [name for name in args.needs if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join("--" + m.replace("_", "-") for m in missing)
-        print(f"error: missing required option(s): {flags}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        missing = [name for name in args.needs if getattr(args, name) is None]
+        if missing:
+            flags = ", ".join("--" + m.replace("_", "-") for m in missing)
+            raise ValueError(f"missing required option(s): {flags}")
         return args.func(args)
-    except ValueError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for failure, code in _EXIT_CODES.items() if isinstance(exc, failure))
 
 
 if __name__ == "__main__":

@@ -77,12 +77,15 @@ class NoCycleExists(Exception):
 
 
 class DeadlineInfeasible(Exception):
-    """Requested duration is shorter than the fastest admissible plan."""
+    """No admissible plan meets the requested duration: it is shorter than the
+    fastest plan, or (far above it) the search in K found none that meets it."""
 
     def __init__(self, tau_target: float, tau_min: float):
-        super().__init__(
-            f"deadline {tau_target} below the minimal feasible duration {tau_min}"
-        )
+        if tau_target < tau_min:
+            message = f"deadline {tau_target} below the minimal feasible duration {tau_min}"
+        else:
+            message = f"no plan met the deadline {tau_target} (minimal feasible duration {tau_min})"
+        super().__init__(message)
         self.tau_min = tau_min
 
 
@@ -599,8 +602,10 @@ def plan_for_deadline(
                     t = pricer.tau(K, n)
                     return t - tau_target if not math.isnan(t) else math.inf
 
-                # K to a few ulps: relative to K*, so the solve is the same at any unit scale
-                k_sol = float(brentq(gap, k_lo, k_hi, xtol=1e-15 * abs(sol.K_star), rtol=8.9e-16))
+                # K to a few ulps of |K*|, or of the bracket's end nearer 0 once a long deadline
+                # takes it far below |K*|; both scale with the units, so the solve is the same at any scale
+                xtol = 1e-15 * min(abs(sol.K_star), 100.0 * abs(k_hi))
+                k_sol = float(brentq(gap, k_lo, k_hi, xtol=xtol, rtol=8.9e-16))
         plan = pricer.plan(k_sol, n)
         if plan is None or abs(plan.total_time - tau_target) > max(_TAU_RTOL * tau_target, 1e-9):
             return None

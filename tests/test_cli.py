@@ -1,7 +1,10 @@
 import errno
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import stat
 import subprocess
 import sys
@@ -10,7 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pmp_thermo import planner
+import pmp_thermo
+from pmp_thermo import bruteforce, cli, lindblad, planner, two_level
 from pmp_thermo.cli import main
 
 
@@ -357,6 +361,119 @@ class TestDeterminismAndConfig:
 
 
 WORKED_ENDS = ("--p-in", "0.07", "--u-in", "1", "--p-out", "0.26", "--u-out", "6")
+UNREACHABLE_ENDS = ("--p-in", "0.1", "--u-in", "1", "--p-out", "0.6", "--u-out", "1")
+WORKED_PLAN = ("trajectory", "--z", "0.3", "--K", "-0.05", *WORKED_ENDS)
+
+# One case per exception type the package defines: its exit code, a command,
+# the library call that command makes, and the exception that call is made to
+# raise, or None where a real input reaches the type.
+TYPED_FAILURES = [
+    (two_level.SolverError, 4, ("engine", "--z", "0.3"), (two_level, "solve_engine"),
+     two_level.SolverError("engine solve did not converge at z=0.3")),
+    (lindblad.IntegrationError, 4, ("verify",), (cli, "integrate"),
+     lindblad.IntegrationError("integrator failed: step size too small", t=0.5)),
+    (lindblad.TraceDriftError, 4, ("verify",), (cli, "integrate"),
+     lindblad.TraceDriftError("trace drift 1.000e-06", t=0.5)),
+    (planner.Unreachable, 3, ("oracle", "--z", "0.3", "--K", "-0.5", *UNREACHABLE_ENDS, "--intervals", "2"),
+     (planner, "build_trajectory"), None),
+    (planner.DeadlineInfeasible, 3, ("trajectory", "--z", "0.3", *WORKED_ENDS, "--deadline", "1"),
+     (planner, "plan_for_deadline"), None),
+    # the z = 0.7 oracle: evenly spaced levels cannot land within p_tol on this horizon
+    (bruteforce.InfeasibleTarget, 3,
+     ("oracle", "--z", "0.7", "--K", "-0.0025016301172595444", *WORKED_ENDS, "--intervals", "4"),
+     (bruteforce, "grid_search"), None),
+    (two_level.NoJumpPoints, 3, WORKED_PLAN, (planner, "build_trajectory"),
+     two_level.NoJumpPoints("f stays positive (min 1.000e-03 at p=0.100000) for K=-0.05")),
+    (planner.NoCycleExists, 3, WORKED_PLAN, (planner, "build_trajectory"),
+     planner.NoCycleExists("f stays positive (min 1.000e-03 at p=0.100000) for K=-0.05")),
+    (two_level.DirectionViolation, 2, WORKED_PLAN, (planner, "build_trajectory"),
+     two_level.DirectionViolation("negative duration -1.0: endpoints (2.0, 1.0) run against the branch flow")),
+]
+
+
+def _package_exceptions():
+    """Every Exception subclass defined in a module of the package."""
+    found = set()
+    for info in pkgutil.iter_modules(pmp_thermo.__path__):
+        module = importlib.import_module(f"pmp_thermo.{info.name}")
+        found.update(
+            obj for obj in vars(module).values()
+            if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__ == module.__name__
+        )
+    return found
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "failure, code, argv, call, injected", TYPED_FAILURES, ids=[case[0].__name__ for case in TYPED_FAILURES]
+    )
+    def test_typed_failure_exit_code(self, capsys, monkeypatch, tmp_path, failure, code, argv, call, injected):
+        module, name = call
+        real, raised = getattr(module, name), []
+
+        def spy(*args, **kwargs):
+            try:
+                if injected is not None:
+                    raise injected
+                return real(*args, **kwargs)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(module, name, spy)
+        if argv[0] == "trajectory":
+            argv = (*argv, "--out-prefix", str(tmp_path / "plan"))
+        got, _, err = run_cli(capsys, *argv)
+        assert type(raised[-1]) is failure
+        assert got == code
+        assert err == f"error: {raised[-1]}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_every_package_exception_has_a_row(self):
+        defined = _package_exceptions()
+        assert [cls for cls in defined if not issubclass(cls, tuple(cli._EXIT_CODES))] == []
+        assert defined == {case[0] for case in TYPED_FAILURES}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sweep", "--z-min", "0.9", "--z-max", "0.1", "--steps", "5"), "need 0 < z-min < z-max < 1"),
+            (("sweep", "--z-min", "0.1", "--z-max", "0.9", "--steps", "1"), "steps must be >= 2"),
+            (("isotherm", "--branch", "cold", "--z", "0.3", "--K", "0", "--u0", "1", "--u1", "6"), "K must be negative"),
+            (("trajectory", "--z", "0.3", *WORKED_ENDS, "--out-prefix", "plan"), "provide --K or --deadline"),
+            (("engine",), "missing required option(s): --z"),
+        ],
+    )
+    def test_usage_check_exit_code(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "branch, u0, u1, flag",
+        [("cold", "1", "2000", "--u1 2000.0"), ("hot", "1e308", "1", "--u0 1e+308")],
+    )
+    def test_isotherm_gap_overflow_usage_error(self, capsys, branch, u0, u1, flag):
+        # exp(beta*u/2) overflows a float; the flag is named and no traceback escapes
+        code, out, err = run_cli(
+            capsys, "isotherm", "--branch", branch, "--z", "0.3", "--K", "-0.05", "--u0", u0, "--u1", u1,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} is out of range: exp(beta*u/2) overflows\n"
+
+    def test_deadline_solver_failure(self, capsys, tmp_path, gate_offset):
+        code, out, err = run_cli(
+            capsys, "trajectory", "--z", "0.3", *WORKED_ENDS, "--deadline", "20",
+            "--out-prefix", str(tmp_path / "plan"),
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: engine solve did not converge at z=0.3")
+        assert not list(tmp_path.iterdir())
+
+    def test_unreadable_config_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "absent.cfg"
+        code, out, err = run_cli(capsys, "engine", "--z", "0.3", "--config", str(missing))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def _failing_csv(monkeypatch, directory, after_writes=3):

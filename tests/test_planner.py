@@ -376,6 +376,24 @@ class TestDeadlinePlanner:
             plan_for_deadline(0.07, 1.0, 0.26, 6.0, fast.total_time * 0.5, baths03)
         assert err.value.tau_min == pytest.approx(fast.total_time, rel=1e-6)
 
+    @pytest.mark.parametrize("tau", [1e10, 1e15, 1e20])
+    @pytest.mark.parametrize("z", [0.3, 0.9])
+    def test_long_deadline_plans(self, z, tau):
+        # the root lies near K = -2e-13 at tau = 1e10 (z = 0.3), far below |K*|,
+        # where a K tolerance relative to |K*| alone misses 1e-9 * tau
+        plan = plan_for_deadline(*ENDPOINTS.values(), tau, Baths.from_ratio(z))
+        assert abs(plan.total_time - tau) <= 1e-9 * tau
+        assert plan.n_cycles == 1024
+
+    @pytest.mark.parametrize("z", [0.3, 0.9])
+    def test_unplanned_long_deadline_is_not_called_short(self, z):
+        # the bracket search in K runs out long before tau = 1e30
+        with pytest.raises(DeadlineInfeasible) as err:
+            plan_for_deadline(*ENDPOINTS.values(), 1e30, Baths.from_ratio(z))
+        assert "below" not in str(err.value)
+        assert "no plan met the deadline" in str(err.value)
+        assert err.value.tau_min == pytest.approx(_tau_min(z), rel=1e-12)
+
 
 def _scan_deadline_plan(p_in, u_in, p_out, u_out, tau_target, baths, max_cycles, tau_rtol=1e-9):
     """Test oracle: one root solve in K for every cycle count N = 0 ... max_cycles.
@@ -716,7 +734,7 @@ class TestArcKernel:
             assert np.all(steps >= 0.0)
 
     def test_sampling_and_simulation_need_no_brentq(self, baths03, monkeypatch):
-        # one arc inversion serves all four paths; brentq is left to plan_for_deadline
+        # one arc inversion serves all four paths, and none of them calls brentq
         plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
 
         def forbidden(*args, **kwargs):
