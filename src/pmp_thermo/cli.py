@@ -31,6 +31,9 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
+# a residual of a correct plan stays within a few of its rounding floor (`planner.validate_plan`)
+RATIO_GATE = 1e3
+
 # the first matching row wins, so a subclass takes its base's code; OSError has no row
 _EXIT_CODES: dict[type[Exception], int] = {
     SolverError: EXIT_SOLVER,
@@ -151,6 +154,8 @@ def _cmd_isotherm(args: argparse.Namespace) -> int:
             xs.append(math.exp(0.5 * beta * u))
         except OverflowError:
             raise ValueError(f"{flag} {u} is out of range: exp(beta*u/2) overflows") from None
+        if not math.isfinite(xs[-1]):
+            raise ValueError(f"{flag} must be a finite gap, got {u}")
     x0, x1 = xs
     try:
         seg = two_level.make_segment(branch, args.K, baths, x0, x1)
@@ -254,6 +259,7 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
         and report["max_stationarity"] < 1e-9
         and report["max_costate"] < 1e-9
         and report["max_bang_bang_violation"] <= 1e-12
+        and all(report[key] <= RATIO_GATE for key in report if key.endswith("_ratio"))
     )
     checks.append(("plan-pmp-residuals", ok, f"conservation {report['max_conservation']:.2e}"))
 

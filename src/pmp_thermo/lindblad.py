@@ -70,12 +70,11 @@ def _check_finite(u: np.ndarray) -> None:
 class ControlVector:
     """Instantaneous controls: Hamiltonian parameters and the two damping rates.
 
-    u may carry a leading stack axis, (n, n_controls), for a stack of states
-    under one pair of rates.  Construction checks that u is finite and the
-    rates finite and non-negative.  `integrate` builds one per occurrence of
-    a piece, for its rates; its right-hand side checks and converts u once
-    each, with the same message, so that it does not pay for a construction
-    per evaluation.
+    u is one control vector, (n_controls,).  Construction checks that u is
+    finite and the rates finite and non-negative.  `integrate` builds one per
+    occurrence of a piece, for its rates; its right-hand side checks and
+    converts u once each, with the same message, so that it does not pay for
+    a construction per evaluation.
     """
 
     u: np.ndarray
@@ -134,9 +133,8 @@ def _sum(values: Iterable) -> float | complex | np.ndarray:
     return total
 
 
-def _trace(m: np.ndarray) -> complex | np.ndarray:
-    """Trace of one matrix, or the traces of a stack indexed like m.T[i, i], summed left to
-    right from 0 as `_reset` sums it; np.trace sums a stack's diagonals pairwise from dim 4 on."""
+def _trace(m: np.ndarray) -> complex:
+    """Trace of one matrix, summed left to right from 0 as `_reset` sums it."""
     return _sum(m.T[i, i] for i in range(m.shape[-1]))
 
 
@@ -147,12 +145,11 @@ class DiagonalResetModel:
     levels 1..n-1.  Beyond two levels this is an artifact generalization used
     for cross-checks, not a physical claim.
 
-    Every method also takes a stack: controls of shape (..., n_controls) and
-    matrices of shape (..., dim, dim), broadcast over the leading axes.  The
-    methods loop over levels only, through m.T[i, i] and u.T[k], which index
-    one entry of one state or that entry across a stack (with its leading axes
-    reversed).  So one state costs a few float operations per level, and a
-    stack one array operation per level.
+    Every method also takes a stack of controls (..., n_controls), for the
+    oracle's gap levels and the samples of an arc in `pmp.two_level_residuals`.
+    The methods loop over levels only, through m.T[i, i] and u.T[k], which
+    index one entry of one state or that entry across a stack (its leading
+    axes reversed): a few float operations per level, or one array operation.
     """
 
     def __init__(self, baths: Baths, dim: int):
@@ -223,46 +220,37 @@ class TwoLevelResetModel(DiagonalResetModel):
 
 
 def lindblad_rhs(rho: np.ndarray, control: ControlVector, model: DiagonalResetModel) -> np.ndarray:
-    """Full generator action: -i[H_u, rho] + gamma_c D_c[rho] + gamma_h D_h[rho].
-
-    A stack of states (..., dim, dim) with controls (..., n_controls) gives the
-    stack of actions.
-    """
+    """Full generator action on one state (dim, dim): -i[H_u, rho] + gamma_c D_c[rho] + gamma_h D_h[rho]."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (model.dim, model.dim):
+    if rho.shape != (model.dim, model.dim):
         raise ValueError(f"state shape {rho.shape} does not match model dim {model.dim}")
     energies, resets = _terms(control.u, control.gamma_c, control.gamma_h, model)
     return _from_entries(_generator(_entries(rho), energies, resets), model.dim)
 
 
 # The only implementation of each reset-model map works entry by entry on a flat
-# list y: the real parts of the matrix's entries row by row, then their imaginary
-# parts.  The entries are Python floats for one matrix, which costs a fraction of
-# 2x2 complex matrix algebra, or arrays indexed like rho.T[j, i] for a stack.
+# list y of Python floats: the real parts of one matrix's entries row by row,
+# then their imaginary parts.  That costs a fraction of 2x2 complex matrix algebra.
 
 
 def _entries(rho: np.ndarray) -> list:
-    """The flat entry list of one complex state (dim, dim) or of a stack (..., dim, dim)."""
-    if rho.ndim == 2:
-        return rho.real.ravel().tolist() + rho.imag.ravel().tolist()
-    dim = rho.shape[-1]
-    return [part.T[j, i] for part in (rho.real, rho.imag) for i in range(dim) for j in range(dim)]
+    """The flat entry list of one complex state (dim, dim)."""
+    return rho.real.ravel().tolist() + rho.imag.ravel().tolist()
 
 
 def _from_entries(y: list, dim: int) -> np.ndarray:
-    """The complex array (..., dim, dim) of a flat entry list, its entries broadcast."""
+    """The complex matrix (dim, dim) of a flat entry list."""
     n = dim * dim
-    parts = np.broadcast_arrays(*y[: 2 * n])
-    out = np.empty((n,) + parts[0].shape, dtype=complex)
-    out.real, out.imag = parts[:n], parts[n:]
-    return out.T.reshape(out.shape[:0:-1] + (dim, dim))
+    out = np.empty(n, dtype=complex)
+    out.real, out.imag = y[:n], y[n : 2 * n]
+    return out.reshape(dim, dim)
 
 
 def _terms(u: np.ndarray, gamma_c: float, gamma_h: float, model: DiagonalResetModel) -> tuple[list, list]:
     """The energies [0, *u] and the pairs (gamma_b, Gibbs populations) of the
-    coupled baths: floats for one control vector, arrays indexed like u.T for a stack."""
+    coupled baths, as floats, for one control vector."""
     u = model._controls(u)
-    energies = [0.0, *(u.tolist() if u.ndim == 1 else u.T)]
+    energies = [0.0, *u.tolist()]
     resets = [(gamma, model._gibbs(u, kind)) for kind, gamma in (("cold", gamma_c), ("hot", gamma_h)) if gamma > 0.0]
     return energies, resets
 

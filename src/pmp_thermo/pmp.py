@@ -3,21 +3,19 @@
 Three conditions characterize a rate-optimal trajectory: the costate evolves
 under the adjoint generator with a gauge multiplier keeping it traceless, the
 pseudo-Hamiltonian is stationary under the gap control, and its value is a
-constant K.  This module gives the costate velocity, the pseudo-Hamiltonian,
-the bang-bang switching function and the residuals of the last two
-conditions; `arc_residuals` computes them all from one pass over a sampled
-arc, which `planner.validate_plan` runs once per distinct arc.
-
-Every function also takes stacks: states and costates of shape
-(..., dim, dim) with controls of shape (..., n_controls) are evaluated in one
-array pass, and each state of a stack gets the bits it gets alone.  The
-commutator with the diagonal H_u or dH/du, the reset map, its adjoint and its
-gap derivative are taken entry by entry with `lindblad`'s kernels, which the
-forward simulation runs too.
+constant K.  The matrix functions here state them for one state of the
+N-level reset model, entry by entry with `lindblad`'s kernels, which the
+forward simulation runs too.  For the two-level system they reduce to
+scalars: with rho = diag(1 - p, p), pi = diag(q, -q), sigma = 2q + u and e_b
+bath b's excited Gibbs population, H = -sum_b gamma_b (e_b - p) sigma,
+dH/du = sum_b gamma_b (beta_b e_b (1 - e_b) sigma - (e_b - p)),
+dq/dt = (gamma_c + gamma_h) sigma / 2 and A = -sigma (e_h - e_c).
+`two_level_residuals` checks an arc in these forms, on real arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +34,7 @@ from .lindblad import (
     _trace,
     lindblad_rhs,  # unused here; kept as pmp.lindblad_rhs, which perfbench/tracer.py rebinds
 )
+from .two_level import IsothermSegment, mu
 
 __all__ = [
     "TrajectoryNode",
@@ -46,14 +45,10 @@ __all__ = [
     "switching_functional",
     "conserved_k_residual",
     "stationarity_residual",
-    "arc_residuals",
+    "two_level_residuals",
 ]
 
-
-def _real(value: complex | np.ndarray) -> float | np.ndarray:
-    """Real part of traces: a float for one state, for a stack an array in the stack's axis order."""
-    value = np.real(value)
-    return float(value) if np.ndim(value) == 0 else value.T
+_EPS = float(np.finfo(float).eps)
 
 
 def _pass(rho: np.ndarray | None, pi: np.ndarray, control: ControlVector, model) -> tuple[list | None, list, list, list]:
@@ -70,10 +65,10 @@ def _pass(rho: np.ndarray | None, pi: np.ndarray, control: ControlVector, model)
     return y, _entries(pi - model.hamiltonian(control.u)), energies, resets
 
 
-def pseudo_hamiltonian(rho: np.ndarray, pi: np.ndarray, control: ControlVector, model) -> float | np.ndarray:
+def pseudo_hamiltonian(rho: np.ndarray, pi: np.ndarray, control: ControlVector, model) -> float:
     """<(pi - H_u) L_u[rho]>; the conserved scalar on optimal arcs."""
     y, a, energies, resets = _pass(rho, pi, control, model)
-    return _real(_trace(_from_entries(a, model.dim) @ _from_entries(_generator(y, energies, resets), model.dim)))
+    return float(_trace(_from_entries(a, model.dim) @ _from_entries(_generator(y, energies, resets), model.dim)).real)
 
 
 def adjoint_generator(a: np.ndarray, control: ControlVector, model: DiagonalResetModel) -> np.ndarray:
@@ -85,12 +80,12 @@ def adjoint_generator(a: np.ndarray, control: ControlVector, model: DiagonalRese
     return _from_entries(_adjoint_generator(_entries(np.asarray(a, dtype=complex)), energies, resets), model.dim)
 
 
-def _costate(a: list, energies: list, resets: list, dim: int) -> tuple[np.ndarray, float | np.ndarray]:
+def _costate(a: list, energies: list, resets: list, dim: int) -> tuple[np.ndarray, float]:
     """The costate velocity -(L_u^dag[a] + lam 1) of a = pi - H_u and the multiplier
     lam = -tr(L_u^dag[a]) / dim that keeps the costate traceless, from one adjoint pass."""
     adj = _from_entries(_adjoint_generator(a, energies, resets), dim)
-    lam = -_real(_trace(adj)) / dim
-    return -(adj + np.multiply.outer(lam, np.eye(dim, dtype=complex))), lam
+    lam = -float(_trace(adj).real) / dim
+    return -(adj + lam * np.eye(dim)), lam
 
 
 def costate_rhs(pi: np.ndarray, control: ControlVector, model) -> np.ndarray:
@@ -99,44 +94,37 @@ def costate_rhs(pi: np.ndarray, control: ControlVector, model) -> np.ndarray:
     return _costate(*_pass(None, pi, control, model)[1:], model.dim)[0]
 
 
-def gauge_lambda(pi: np.ndarray, control: ControlVector, model) -> float | np.ndarray:
+def gauge_lambda(pi: np.ndarray, control: ControlVector, model) -> float:
     """Multiplier that keeps the costate traceless: -tr(L^dag[pi - H]) / dim."""
     return _costate(*_pass(None, pi, control, model)[1:], model.dim)[1]
 
 
-def switching_functional(rho: np.ndarray, pi: np.ndarray, u: np.ndarray | float, model) -> float | np.ndarray:
+def switching_functional(rho: np.ndarray, pi: np.ndarray, u: np.ndarray | float, model) -> float:
     """Bang-bang selector: A = <(pi - H_u)(D_h - D_c)[rho]>; TypeError for a model
     other than the reset model.
 
     (D_h - D_c)[rho] = (eta_h - eta_c) tr(rho) for the diagonal Gibbs states
     eta_b, and eta_h - eta_c sums to zero, so A = tr(rho) sum_i (a_ii - a_kk)
-    (eta_h - eta_c)_i with a = pi - H_u and k the lowest level of each sample.
-    The term of level k, whose populations cancel at a large gap, drops out,
-    so A keeps its relative accuracy and its sign at any finite gap.
+    (eta_h - eta_c)_i with a = pi - H_u and k the lowest level.  The term of
+    level k, whose populations cancel at a large gap, drops out, so A keeps
+    its relative accuracy and its sign at any finite gap.
     """
     if not isinstance(model, DiagonalResetModel):
         raise TypeError(f"model {model!r} is not a DiagonalResetModel")
-    rho = np.asarray(rho, dtype=complex)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    h = model.hamiltonian(u)
-    a = np.asarray(pi, dtype=complex) - h
-    diag = np.array([a.T[i, i] for i in range(model.dim)])
-    lowest = np.argmin([h.T[i, i].real for i in range(model.dim)], axis=0)
-    low = np.take_along_axis(diag, lowest[None], 0)[0]
-    eta_h, eta_c = model.equilibrium(u, "hot"), model.equilibrium(u, "cold")
-    total = _sum((a_ii - low) * (eta_h.T[i, i] - eta_c.T[i, i]) for i, a_ii in enumerate(diag))
-    return _real(_trace(rho) * total)
+    u = model._controls(u)
+    energies = [0.0, *u.tolist()]
+    a = np.diagonal(np.asarray(pi, dtype=complex)) - np.array(energies)
+    low = a[energies.index(min(energies))]
+    eta_h, eta_c = model._gibbs(u, "hot"), model._gibbs(u, "cold")
+    total = _sum((a_ii - low) * (h - c) for a_ii, h, c in zip(a.tolist(), eta_h, eta_c))
+    return float((_trace(np.asarray(rho, dtype=complex)) * total).real)
 
 
 @dataclass(frozen=True)
 class TrajectoryNode:
-    """One sample of a candidate optimal trajectory.
+    """One sample of a candidate optimal trajectory: one state, costate and control vector."""
 
-    The residual checkers also take a node whose rho, pi and control.u carry a
-    leading sample axis, with one pair of damping rates for all samples.
-    """
-
-    t: float | np.ndarray
+    t: float
     rho: np.ndarray
     pi: np.ndarray
     control: ControlVector
@@ -146,17 +134,23 @@ def conserved_k_residual(nodes: Sequence[TrajectoryNode], K: float, model) -> fl
     """max_t |<(pi - H_u) L_u[rho]> - K| over the sampled nodes.
 
     K comes from the trajectory metadata; the residual tests consistency of
-    the samples against it rather than re-estimating the constant.  On a
-    stacked node the maximum also runs over the samples.
+    the samples against it rather than re-estimating the constant.
     """
-    return max([0.0] + [float(np.max(np.abs(pseudo_hamiltonian(n.rho, n.pi, n.control, model) - K))) for n in nodes])
+    return max([0.0] + [abs(pseudo_hamiltonian(n.rho, n.pi, n.control, model) - K) for n in nodes])
 
 
-def _stationarity(y: list, a: np.ndarray, ldot: list, resets: list, control: ControlVector, model) -> float:
-    """max_k |<a d_k L[rho]> - <L[rho] d_k H>| from rho's entries, a = pi - H_u and
-    ldot = L_u[rho]'s entries.  d_k H projects on level k, so <L[rho] d_k H> is
-    ldot's entry (k, k), and d_k D_b[rho] = diag(beta_b eta_i (eta_k - delta_ik)) tr(rho)."""
-    dim, n = model.dim, model.dim**2
+def stationarity_residual(node: TrajectoryNode, model) -> float:
+    """Gap-control stationarity: max_k |<(pi-H) d_k L[rho]> - <L[rho] d_k H>|.
+
+    d_k H projects on level k, so <L[rho] d_k H> is L[rho]'s entry (k, k), and
+    d_k D_b[rho] = diag(beta_b eta_i (eta_k - delta_ik)) tr(rho).  Only the
+    Hamiltonian controls enter; the damping rates are set bang-bang by the
+    sign of the switching function rather than by a stationarity condition.
+    """
+    y, a, energies, resets = _pass(node.rho, node.pi, node.control, model)
+    control, dim = node.control, model.dim
+    n = dim * dim
+    a, ldot = _from_entries(a, dim), _generator(y, energies, resets)
     diag = range(0, n, dim + 1)
     betas = [model.baths.beta(kind) for kind, rate in (("cold", control.gamma_c), ("hot", control.gamma_h)) if rate > 0.0]
     tr_re, tr_im = _sum(y[j] for j in diag), _sum(y[n + j] for j in diag)
@@ -167,27 +161,52 @@ def _stationarity(y: list, a: np.ndarray, ldot: list, resets: list, control: Con
             for i, j in enumerate(diag):
                 d = beta * pops[i] * (pops[k] - (i == k))
                 dl[j], dl[n + j] = dl[j] + rate * (d * tr_re), dl[n + j] + rate * (d * tr_im)
-        worst = max(worst, float(np.max(np.abs(_trace(a @ _from_entries(dl, dim)).real - ldot[k * (dim + 1)]))))
+        worst = max(worst, abs(float(_trace(a @ _from_entries(dl, dim)).real) - ldot[k * (dim + 1)]))
     return worst
 
 
-def stationarity_residual(node: TrajectoryNode, model) -> float:
-    """Gap-control stationarity: max_k |<(pi-H) d_k L[rho]> - <L[rho] d_k H>|.
+def _two_level_forms(p: np.ndarray, q: np.ndarray, u: np.ndarray, gamma_c: float, gamma_h: float, model) -> tuple:
+    """H, dH/du, dq/dt and A of the two-level forms (module docstring) at samples
+    (p, q, u), e_b from `model._gibbs`, then the rounding floors of H and dH/du."""
+    sigma, size = 2.0 * q + u, np.abs(2.0 * q) + np.abs(u)
+    e, h, dh, h_floor, dh_floor = {}, 0.0, 0.0, 0.0, 0.0
+    for kind, rate in (("cold", gamma_c), ("hot", gamma_h)):
+        e[kind] = e_b = model._gibbs(u[:, None], kind)[1]
+        slope = model.baths.beta(kind) * e_b * (1.0 - e_b)
+        h, dh = h - rate * (e_b - p) * sigma, dh + rate * (slope * sigma - (e_b - p))
+        h_floor, dh_floor = h_floor + rate * (e_b + p) * size, dh_floor + rate * (slope * size + e_b + p)
+    return h, dh, (gamma_c + gamma_h) * sigma / 2.0, -sigma * (e["hot"] - e["cold"]), _EPS * h_floor, _EPS * dh_floor
 
-    Only the Hamiltonian controls enter; the damping rates are set bang-bang
-    by the sign of the switching function rather than by a stationarity
-    condition.  On a stacked node the maximum also runs over the samples.
+
+def two_level_residuals(
+    seg: IsothermSegment, K: float, model: DiagonalResetModel, x: np.ndarray, u: np.ndarray, p: np.ndarray, q: np.ndarray
+) -> tuple[float, ...]:
+    """The minimum-principle checks of one two-level arc on its samples (x, u, p, q),
+    x = exp(beta u/2), the first and last at the arc's ends: the worst |H - K|,
+    |dH/du|, |dq/dt - gamma mu (1 + x^2)/(2 beta x)| (the arc's exact costate
+    velocity), bang-bang violation (A >= 0 on a cold arc, <= 0 on a hot one) and
+    heat identity |<pi0 rho0> - <pi1 rho1> - int lam dt - seg.heat|, with
+    int lam dt = (mu/2beta)[-x + 1/x + 4 atan x - (2/mu)(log x - log1p(x^2))]
+    from x0 to x1; then the first three and the last over their rounding floors
+    eps gamma (e + p)(|2q| + |u|), eps gamma (beta e (1 - e)(|2q| + |u|) + e + p),
+    eps (gamma |q| + gamma |u| + |dq/dt|) and eps times the heat terms' sizes.
     """
-    y, a, energies, resets = _pass(node.rho, node.pi, node.control, model)
-    return _stationarity(y, _from_entries(a, model.dim), _generator(y, energies, resets), resets, node.control, model)
-
-
-def arc_residuals(node: TrajectoryNode, K: float, model) -> tuple[float, float, np.ndarray, float | np.ndarray]:
-    """`conserved_k_residual([node], K)`, `stationarity_residual(node)`, and the
-    `costate_rhs` and `switching_functional` values of a node, from one `_terms` pass."""
-    y, a, energies, resets = _pass(node.rho, node.pi, node.control, model)
-    ldot, a_mat = _generator(y, energies, resets), _from_entries(a, model.dim)
-    conservation = float(np.max(np.abs(_real(_trace(a_mat @ _from_entries(ldot, model.dim))) - K)))
-    stationarity = _stationarity(y, a_mat, ldot, resets, node.control, model)
-    pi_dot = _costate(a, energies, resets, model.dim)[0]
-    return conservation, stationarity, pi_dot, switching_functional(node.rho, node.pi, node.control.u, model)
+    kind = seg.branch.kind
+    beta, gamma = model.baths.beta(kind), model.baths.gamma
+    mu_val = mu(seg.K, beta, seg.branch, gamma)
+    h, dh, qdot, a, h_floor, dh_floor = _two_level_forms(p, q, u, *((gamma, 0.0) if kind == "cold" else (0.0, gamma)), model)
+    qdot_arc = (gamma * mu_val / (2.0 * beta)) * (1.0 + x * x) / x
+    costate, costate_floor = np.abs(qdot - qdot_arc), _EPS * (gamma * np.abs(q) + gamma * np.abs(u) + np.abs(qdot_arc))
+    c = mu_val / (2.0 * beta)
+    # <pi rho> = q (1 - 2p) and the antiderivative of lam dt, at x0 less at x1, less the heat
+    terms = [
+        sign * v
+        for sign, i in ((1.0, 0), (-1.0, -1))
+        for v in (q[i] * (1.0 - 2.0 * p[i]), -c * x[i], c / x[i], 4.0 * c * math.atan(x[i]),
+                  -math.log(x[i]) / beta, math.log1p(x[i] * x[i]) / beta)
+    ] + [-seg.heat]
+    heat, heat_floor = abs(_sum(terms)), _EPS * _sum(map(abs, terms))
+    return tuple(map(float, (
+        np.abs(h - K).max(), np.abs(dh).max(), costate.max(), max(0.0, (-a if kind == "cold" else a).max()), heat,
+        (np.abs(h - K) / h_floor).max(), (np.abs(dh) / dh_floor).max(), (costate / costate_floor).max(), heat / heat_floor,
+    )))

@@ -613,6 +613,8 @@ def _check_branch_range(branch: Branch, x: float, mu_val: float) -> None:
 
 def make_segment(branch: Branch, K: float, baths: Baths, x0: float, x1: float) -> IsothermSegment:
     """Build and validate a segment from control endpoints in time order."""
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ValueError(f"control endpoints must be finite, got x0={x0}, x1={x1}")
     if K > 0.0:
         raise ValueError(f"segments require K <= 0, got {K}")
     beta = baths.beta(branch.kind)

@@ -264,6 +264,19 @@ class TestVerifyCommand:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "key", ["max_conservation_ratio", "max_stationarity_ratio", "max_costate_ratio", "max_heat_identity_ratio"]
+    )
+    def test_fails_on_residual_above_its_rounding_floor(self, capsys, monkeypatch, key):
+        # a residual far below the absolute bounds still fails at 1e3 times its floor
+        validate = planner.validate_plan
+        monkeypatch.setattr(planner, "validate_plan", lambda plan: {**validate(plan), key: 1.01 * cli.RATIO_GATE})
+        code, out, _ = run_cli(capsys, "verify")
+        lines = out.splitlines()
+        assert code == 4
+        assert [line.split()[0] for line in lines if "  FAIL  " in line] == ["plan-pmp-residuals"]
+        assert lines[-1] == "verify: FAILURES present"
+
     def test_fails_on_costate_residual(self, capsys, monkeypatch):
         validate = planner.validate_plan
         monkeypatch.setattr(planner, "validate_plan", lambda plan: {**validate(plan), "max_costate": 1e-6})
@@ -459,6 +472,20 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert err == f"error: {flag} is out of range: exp(beta*u/2) overflows\n"
+
+    @pytest.mark.parametrize("branch", ["cold", "hot"])
+    @pytest.mark.parametrize("u0, u1, flag", [("nan", "1", "--u0"), ("1", "inf", "--u1")])
+    def test_isotherm_nonfinite_gap_usage_error(self, capsys, tmp_path, branch, u0, u1, flag):
+        # exp(beta*nan/2) is nan and exp(beta*inf/2) is inf, neither an overflow:
+        # they wrote a CSV of nan and exited 0
+        out = tmp_path / "arc.csv"
+        code, stdout, err = run_cli(
+            capsys, "isotherm", "--branch", branch, "--z", "0.3", "--K", "-0.05",
+            "--u0", u0, "--u1", u1, "--samples", "3", "--out", str(out),
+        )
+        value = u0 if flag == "--u0" else u1
+        assert (code, stdout, err) == (2, "", f"error: {flag} must be a finite gap, got {float(value)}\n")
+        assert not out.exists()
 
     def test_deadline_solver_failure(self, capsys, tmp_path, gate_offset):
         code, out, err = run_cli(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from pmp_thermo import planner, pmp
+from pmp_thermo import cli, planner, pmp
 from pmp_thermo.lindblad import TwoLevelResetModel, integrate
 from pmp_thermo.planner import (
     DeadlineInfeasible,
@@ -593,8 +593,7 @@ def _reference_arc_rows(seg, baths, samples):
         x = _reference_arc_x(seg, mu_val, c0, baths.gamma, dt)
         u_val = (2.0 / beta) * math.log(x)
         q = _q_of_x(x, u_val, mu_val, beta)
-        qdot = (baths.gamma * mu_val / (2.0 * beta)) * (1.0 + x * x) / x
-        rows.append((dt, u_val, isotherm_p(x, mu_val), q, (xi(x, mu_val) - xi0) / beta, qdot))
+        rows.append((dt, u_val, isotherm_p(x, mu_val), q, (xi(x, mu_val) - xi0) / beta))
     return rows
 
 
@@ -624,7 +623,7 @@ def _reference_sample_plan(plan, samples_per_segment=1000):
                 brs.append(branch_label)
                 qcums.append(heat_acc)
             continue
-        for dt, u_val, p, q, dq, _ in rows[entry]:
+        for dt, u_val, p, q, dq in rows[entry]:
             ts.append(t0 + dt)
             us.append(u_val)
             ps.append(p)
@@ -813,59 +812,81 @@ class TestStackedSampler:
         assert "outside [0, 1]" in str(got.value)
 
 
-def _reference_plan_nodes(plan, samples_per_segment=50):
-    """The plan's sampled (rho, pi, control) nodes, arc after arc, built node by
-    node from the rows of _reference_arc_rows."""
-    gamma = plan.baths.gamma
-    rows = _reference_rows_by_arc(plan, samples_per_segment)
+def _reference_log_x_nodes(seg, baths, samples):
+    """(x, u, p, q) of the nodes validate_plan checks on one arc, node by node from
+    the scalar closed forms: x uniform in log x from x0 to x1, its ends exact."""
+    beta = baths.beta(seg.branch.kind)
+    mu_val = mu(seg.K, beta, seg.branch, baths.gamma)
+    log_xs = np.linspace(math.log(seg.x0), math.log(seg.x1), max(samples, 2)).tolist()
     nodes = []
-    t0 = 0.0
-    for arc in plan.arcs:
-        control = dict(gamma_c=gamma, gamma_h=0.0) if arc.is_cold else dict(gamma_c=0.0, gamma_h=gamma)
-        for dt, u_val, p, q, *_ in rows[arc]:
-            rho = np.diag([1.0 - p, p]).astype(complex)
-            pi = np.diag([q, -q]).astype(complex)
-            nodes.append(pmp.TrajectoryNode(t=t0 + dt, rho=rho, pi=pi, control=pmp.ControlVector(u=[u_val], **control)))
-        t0 += arc.duration
+    for j, log_x in enumerate(log_xs):
+        x = seg.x0 if j == 0 else seg.x1 if j == len(log_xs) - 1 else math.exp(log_x)
+        u_val = (2.0 / beta) * log_x
+        nodes.append((x, u_val, isotherm_p(x, mu_val), _q_of_x(x, u_val, mu_val, beta)))
     return nodes
 
 
 def _reference_validate(plan, samples_per_segment=200):
-    """The per-node loop validate_plan ran before it stacked each distinct arc,
-    with the costate residual checked node by node too."""
+    """validate_plan's absolute residuals from the dim-2 matrix functions of pmp,
+    node by node on the same log-x nodes, and the scale of the matrix forms'
+    largest term, 2 gamma (|q| + |q + u| + 1), over those nodes."""
     model = TwoLevelResetModel(plan.baths)
-    dp, dq = plan.continuity_errors()
-    worst_sign = costate = 0.0
-    nodes = _reference_plan_nodes(plan, samples_per_segment)
-    rows = _reference_rows_by_arc(plan, samples_per_segment)
-    qdots = [row[5] for arc in plan.arcs for row in rows[arc]]
-    cons = pmp.conserved_k_residual(nodes, plan.K, model)
-    stat = max((pmp.stationarity_residual(n, model) for n in nodes), default=0.0)
-    for node, qdot in zip(nodes, qdots):
-        a = pmp.switching_functional(node.rho, node.pi, node.control.u, model)
-        on_cold = node.control.gamma_c > 0.0
-        violation = max(0.0, -a) if on_cold else max(0.0, a)
-        worst_sign = max(worst_sign, violation)
-        pi_dot = pmp.costate_rhs(node.pi, node.control, model)
-        costate = max(costate, float(np.max(np.abs(pi_dot - np.diag([qdot, -qdot])))))
-    return {
-        "max_dp": dp,
-        "max_dq": dq,
-        "max_conservation": cons,
-        "max_stationarity": stat,
-        "max_costate": costate,
-        "max_bang_bang_violation": worst_sign,
-        "nodes": len(nodes),
-    }
+    gamma = plan.baths.gamma
+    cons = stat = costate = worst_sign = scale = 0.0
+    for seg in set(plan.arcs):
+        beta = plan.baths.beta(seg.branch.kind)
+        mu_val = mu(seg.K, beta, seg.branch, gamma)
+        rates = dict(gamma_c=gamma, gamma_h=0.0) if seg.is_cold else dict(gamma_c=0.0, gamma_h=gamma)
+        for x, u_val, p, q in _reference_log_x_nodes(seg, plan.baths, samples_per_segment):
+            rho, pi = np.diag([1.0 - p, p]).astype(complex), np.diag([q, -q]).astype(complex)
+            node = pmp.TrajectoryNode(t=0.0, rho=rho, pi=pi, control=pmp.ControlVector(u=[u_val], **rates))
+            cons = max(cons, pmp.conserved_k_residual([node], plan.K, model))
+            stat = max(stat, pmp.stationarity_residual(node, model))
+            qdot = (gamma * mu_val / (2.0 * beta)) * (1.0 + x * x) / x
+            pi_dot = pmp.costate_rhs(pi, node.control, model)
+            costate = max(costate, float(np.max(np.abs(pi_dot - np.diag([qdot, -qdot])))))
+            a = pmp.switching_functional(rho, pi, node.control.u, model)
+            worst_sign = max(worst_sign, -a if seg.is_cold else a)
+            scale = max(scale, 2.0 * gamma * (abs(q) + abs(q + u_val) + 1.0))
+    report = {"max_conservation": cons, "max_stationarity": stat, "max_costate": costate,
+              "max_bang_bang_violation": worst_sign}
+    return report, scale
+
+
+def _assert_matches_per_node_loop(plan, samples_per_segment=200):
+    report = validate_plan(plan, samples_per_segment)
+    want, scale = _reference_validate(plan, samples_per_segment)
+    for key, value in want.items():
+        assert abs(report[key] - value) <= 8 * np.finfo(float).eps * scale, key
+    assert report["max_bang_bang_violation"] == want["max_bang_bang_violation"]
+    assert report["nodes"] == max(samples_per_segment, 2) * len(plan.arcs)
+    assert (report["max_dp"], report["max_dq"]) == plan.continuity_errors()
+
+
+def _shifted_rows(monkeypatch, column, shift):
+    """validate_plan's samples with one of the columns (x, u, p, q) shifted by `shift`."""
+    log_x_rows = planner._log_x_rows
+
+    def shifted(seg, baths, samples):
+        rows = list(log_x_rows(seg, baths, samples))
+        rows[column] = rows[column] + shift
+        return tuple(rows)
+
+    monkeypatch.setattr(planner, "_log_x_rows", shifted)
+
+
+RATIO_KEYS = ("max_conservation_ratio", "max_stationarity_ratio", "max_costate_ratio", "max_heat_identity_ratio")
 
 
 class TestStackedValidation:
+    """validate_plan checks each distinct arc's samples as one array on a grid
+    uniform in log x, with the two-level scalar forms of pmp."""
+
     @pytest.mark.parametrize("n_cycles", [0, 1, 2, 3])
     def test_matches_per_node_loop(self, baths03, n_cycles):
-        plan = build_trajectory(*ENDPOINTS.values(), K_REF, n_cycles, baths03)
-        report = validate_plan(plan)
-        assert report == _reference_validate(plan)
-        assert report["nodes"] == 200 * len(plan.arcs)
+        # the scalar forms give, to a few ulps of the matrix forms' largest term,
+        # the residuals of pmp's matrix functions run node by node
+        _assert_matches_per_node_loop(build_trajectory(*ENDPOINTS.values(), K_REF, n_cycles, baths03))
 
     @settings(derandomize=True, deadline=None, max_examples=15)
     @given(
@@ -881,62 +902,42 @@ class TestStackedValidation:
     def test_matches_per_node_loop_on_property_domain(self, z, k_frac, p_in, u_in, p_out, u_out, n_cycles, samples):
         baths = Baths.from_ratio(z)
         plan = build_trajectory(p_in, u_in, p_out, u_out, k_frac * solve_engine(z).K_star, n_cycles, baths)
-        assert validate_plan(plan, samples) == _reference_validate(plan, samples)
+        _assert_matches_per_node_loop(plan, samples)
 
     def test_plan_nodes_match_node_by_node_build(self, reference_plan):
-        # the stacks validate_plan checks, one per distinct arc, hold the plan's nodes
-        plan, gamma = reference_plan, reference_plan.baths.gamma
-        rows = planner._rows_by_arc(plan, 20)
-        stacks = {seg: planner._arc_stack(seg, seg_rows, gamma) for seg, seg_rows in rows.items()}
-        want = _reference_plan_nodes(plan, 20)
-        assert len(want) == 20 * len(plan.arcs)
-        t0 = 0.0
-        for i, arc in enumerate(plan.arcs):
-            stack = stacks[arc]
-            for j, b in enumerate(want[20 * i : 20 * (i + 1)]):
-                assert t0 + stack.t[j] == b.t
-                assert np.array_equal(stack.rho[j], b.rho) and np.array_equal(stack.pi[j], b.pi)
-                assert np.array_equal(stack.control.u[j], b.control.u)
-                assert (stack.control.gamma_c, stack.control.gamma_h) == (b.control.gamma_c, b.control.gamma_h)
-            t0 += arc.duration
+        # the samples validate_plan checks, one array per distinct arc, hold the
+        # arc's nodes: uniform in log x, ends exact, the scalar closed forms' bits
+        plan = reference_plan
+        for seg in set(plan.arcs):
+            want = np.array(_reference_log_x_nodes(seg, plan.baths, 20)).T
+            got = planner._log_x_rows(seg, plan.baths, 20)
+            assert (got[0][0], got[0][-1]) == (seg.x0, seg.x1)
+            for got_col, want_col in zip(got, want):
+                assert got_col.dtype == np.float64 and np.array_equal(got_col, want_col), seg
 
     def test_one_stack_per_distinct_arc(self, baths03, monkeypatch):
         # repeated cycles share their arcs, and a residual does not depend on t: one
-        # pmp pass per distinct arc, with three Gibbs evaluations, two of them the
-        # switching function's
+        # pmp pass per distinct arc, on real arrays, with one Gibbs evaluation per bath
         plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
-        seen, passes, gibbs = [], [], []
-        arc_residuals, one_pass, one_gibbs = pmp.arc_residuals, pmp._pass, TwoLevelResetModel._gibbs
-        monkeypatch.setattr(pmp, "arc_residuals", lambda node, K, model: seen.append(node) or arc_residuals(node, K, model))
-        monkeypatch.setattr(pmp, "_pass", lambda *args: passes.append(args) or one_pass(*args))
+        seen, gibbs = [], []
+        residuals, one_gibbs = pmp.two_level_residuals, TwoLevelResetModel._gibbs
+        monkeypatch.setattr(pmp, "two_level_residuals", lambda *args: seen.append(args) or residuals(*args))
         monkeypatch.setattr(TwoLevelResetModel, "_gibbs", lambda self, u, kind: gibbs.append(kind) or one_gibbs(self, u, kind))
         validate_plan(plan, samples_per_segment=20)
-        assert len(seen) == len(passes) == len(set(plan.arcs)) < len(plan.arcs)
-        assert all(node.rho.shape == (20, 2, 2) for node in seen)
-        assert len(gibbs) == 3 * len(set(plan.arcs)) == 12
-
-    def test_one_adjoint_pass_per_distinct_arc(self, baths03, monkeypatch):
-        # the costate velocity and its traceless multiplier share one adjoint pass
-        plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
-        seen = []
-        adjoint = pmp._adjoint_generator
-        monkeypatch.setattr(pmp, "_adjoint_generator", lambda a, *args: seen.append(a) or adjoint(a, *args))
-        validate_plan(plan)
         assert len(seen) == len(set(plan.arcs)) < len(plan.arcs)
+        assert {args[0] for args in seen} == set(plan.arcs)
+        assert all(col.shape == (20,) and col.dtype == np.float64 for args in seen for col in args[3:])
+        assert len(gibbs) == 2 * len(set(plan.arcs)) == 8
 
     def test_costate_residual_sees_a_wrong_costate(self, baths03, monkeypatch):
-        # q off by 1e-6 moves the adjoint velocity gamma (2q + u)/2 by gamma 1e-6,
+        # q off by 1e-6 moves the costate velocity gamma (2q + u)/2 by gamma 1e-6,
         # while the exact dq/dt of the arc's x stays put
         plan = build_trajectory(*ENDPOINTS.values(), K_REF, 1, baths03)
         assert validate_plan(plan)["max_costate"] < 1e-14
-        arc_rows = planner._arc_rows
-
-        def shifted(seg, baths, samples):
-            dt, u, p, q, heat, qdot = arc_rows(seg, baths, samples)
-            return dt, u, p, q + 1e-6, heat, qdot
-
-        monkeypatch.setattr(planner, "_arc_rows", shifted)
-        assert validate_plan(plan)["max_costate"] == pytest.approx(1e-6 * baths03.gamma, rel=1e-6)
+        _shifted_rows(monkeypatch, 3, 1e-6)
+        report = validate_plan(plan)
+        assert report["max_costate"] == pytest.approx(1e-6 * baths03.gamma, rel=1e-6)
+        assert report["max_costate_ratio"] > 1e6
 
     def test_conservation_residual_sees_a_wrong_k(self):
         # arcs built at K checked against 2K: the baseline reads 4.7e-2 at 0.65 K*
@@ -945,31 +946,69 @@ class TestStackedValidation:
         assert validate_plan(dataclasses.replace(plan, K=2 * plan.K))["max_conservation"] > 1e-2
 
     def test_stationarity_residual_sees_a_wrong_population(self, baths03, monkeypatch):
-        # p off by 1e-6 moves dH/du = -gamma (p_eq(u) - p) - (2q + u) gamma p_eq'(u) by gamma 1e-6
+        # p off by 1e-6 moves dH/du = gamma (beta e (1 - e)(2q + u) - (e - p)) by gamma 1e-6
         plan = build_trajectory(*ENDPOINTS.values(), K_REF, 1, baths03)
         assert validate_plan(plan)["max_stationarity"] < 1e-9
-        arc_rows = planner._arc_rows
-
-        def shifted(seg, baths, samples):
-            dt, u, p, q, heat, qdot = arc_rows(seg, baths, samples)
-            return dt, u, p + 1e-6, q, heat, qdot
-
-        monkeypatch.setattr(planner, "_arc_rows", shifted)
-        assert validate_plan(plan)["max_stationarity"] == pytest.approx(1e-6 * baths03.gamma, rel=1e-6)
+        _shifted_rows(monkeypatch, 2, 1e-6)
+        report = validate_plan(plan)
+        assert report["max_stationarity"] == pytest.approx(1e-6 * baths03.gamma, rel=1e-6)
+        assert report["max_stationarity_ratio"] > 1e6
 
     def test_bang_bang_violation_sees_the_wrong_bath(self, baths03, monkeypatch):
         # each arc's samples checked as if the other bath drove them
         plan = build_trajectory(*ENDPOINTS.values(), K_REF, 1, baths03)
         assert validate_plan(plan)["max_bang_bang_violation"] == 0.0
-        arc_stack = planner._arc_stack
+        residuals = pmp.two_level_residuals
 
-        def swapped(seg, rows, gamma):
-            node = arc_stack(seg, rows, gamma)
-            c = node.control
-            return dataclasses.replace(node, control=pmp.ControlVector(u=c.u, gamma_c=c.gamma_h, gamma_h=c.gamma_c))
+        def swapped(seg, *args):
+            return residuals(dataclasses.replace(seg, branch=HOT if seg.is_cold else COLD), *args)
 
-        monkeypatch.setattr(planner, "_arc_stack", swapped)
+        monkeypatch.setattr(pmp, "two_level_residuals", swapped)
         assert validate_plan(plan)["max_bang_bang_violation"] > 0.0
+
+    def test_heat_identity_sees_a_wrong_heat(self, baths03):
+        # every arc's heat off by 1e-9 relative: the boundary-term heat
+        # <pi0 rho0> - <pi1 rho1> - int lam dt no longer meets it
+        plan = build_trajectory(*ENDPOINTS.values(), K_REF, 1, baths03)
+        report = validate_plan(plan)
+        assert report["max_heat_identity"] < 1e-14 and report["max_heat_identity_ratio"] < 10.0
+        wrong = {seg: dataclasses.replace(seg, heat=seg.heat * (1.0 + 1e-9)) for seg in set(plan.arcs)}
+        segments = tuple(wrong.get(entry, entry) for entry in plan.segments)
+        report = validate_plan(dataclasses.replace(plan, segments=segments))
+        assert report["max_heat_identity"] == pytest.approx(1e-9 * max(abs(seg.heat) for seg in wrong), rel=1e-4)
+        assert report["max_heat_identity_ratio"] > 1e3
+
+    def test_doubled_k_fails_the_ratio_gate_near_the_quasi_static_limit(self):
+        # at K = 1e-8 K* the doubled K moves H by 7.2e-10, under the absolute 1e-9
+        # gate, but some 1e15 times its rounding floor
+        plan = build_trajectory(*ENDPOINTS.values(), 1e-8 * solve_engine(0.3).K_star, 0, Baths.from_ratio(0.3))
+        assert all(validate_plan(plan)[key] <= cli.RATIO_GATE for key in RATIO_KEYS)
+        report = validate_plan(dataclasses.replace(plan, K=2 * plan.K))
+        assert report["max_conservation"] < 1e-9
+        assert report["max_conservation_ratio"] > 1e14
+
+    def test_nearly_empty_upper_level_passes_every_gate(self):
+        # a cold arc down to p = 1e-12 spans decades of x; the matrix forms lost
+        # the costate velocity there (3.8e-6), the scalar forms keep it
+        plan = build_trajectory(0.07, 1.0, 1e-12, 6.0, 0.65 * solve_engine(0.3).K_star, 0, Baths.from_ratio(0.3))
+        report = validate_plan(plan)
+        assert report["max_conservation"] < 1e-9 and report["max_stationarity"] < 1e-9
+        assert report["max_costate"] < 1e-9 and report["max_bang_bang_violation"] <= 1e-12
+        assert all(report[key] <= cli.RATIO_GATE for key in RATIO_KEYS)
+
+
+def test_validate_plan_inverts_nothing_and_builds_no_matrix(baths03, monkeypatch):
+    # the log-x grid needs no chi inversion, and the scalar forms no complex matrix
+    plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
+    want = validate_plan(plan)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate_plan inverted an arc or built a matrix")
+
+    for module, name in ((planner, "chi"), (planner, "_arc_xs"), (pmp, "_entries"), (pmp, "_from_entries"),
+                         (TwoLevelResetModel, "hamiltonian"), (TwoLevelResetModel, "equilibrium")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert validate_plan(plan) == want
 
 
 def test_integrate_inverts_nothing(baths03, monkeypatch):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from pmp_thermo.lindblad import ControlVector, DiagonalResetModel, TwoLevelResetModel, _sum, lindblad_rhs
+from pmp_thermo.lindblad import ControlVector, DiagonalResetModel, TwoLevelResetModel, _sum, _trace, lindblad_rhs
 from pmp_thermo.pmp import (
     TrajectoryNode,
+    _two_level_forms,
     adjoint_generator,
     conserved_k_residual,
     costate_rhs,
@@ -290,87 +291,77 @@ class TestSwitchingFunctional:
 
 
 class TestStackedResiduals:
-    """Stacked states give, sample by sample, the values of single-state calls."""
-
-    @staticmethod
-    def check_stack(model, rho, pi, u, gammas):
-        n, dim = len(u), model.dim
-        ctrl = ControlVector(u=u, gamma_c=gammas[0], gamma_h=gammas[1])
-        ph = pseudo_hamiltonian(rho, pi, ctrl, model)
-        a = switching_functional(rho, pi, u, model)
-        lam = gauge_lambda(pi, ctrl, model)
-        pi_dot = costate_rhs(pi, ctrl, model)
-        stack = TrajectoryNode(t=np.zeros(n), rho=rho, pi=pi, control=ctrl)
-        stat = stationarity_residual(stack, model)
-        assert ph.shape == a.shape == lam.shape == (n,) and pi_dot.shape == (n, dim, dim)
-        nodes = []
-        for j in range(n):
-            ctrl_j = ControlVector(u=u[j], gamma_c=gammas[0], gamma_h=gammas[1])
-            value = pseudo_hamiltonian(rho[j], pi[j], ctrl_j, model)
-            assert type(value) is float and value == ph[j]
-            value = switching_functional(rho[j], pi[j], u[j], model)
-            assert type(value) is float and value == a[j]
-            value = gauge_lambda(pi[j], ctrl_j, model)
-            assert type(value) is float and value == lam[j]
-            assert np.array_equal(costate_rhs(pi[j], ctrl_j, model), pi_dot[j])
-            nodes.append(TrajectoryNode(t=0.0, rho=rho[j], pi=pi[j], control=ctrl_j))
-        assert stat == max(stationarity_residual(node, model) for node in nodes)
-        # the conservation residual of a stack is the maximum over its samples
-        cons = conserved_k_residual([stack], K_REF, model)
-        assert type(cons) is float and cons == conserved_k_residual(nodes, K_REF, model)
-        assert conserved_k_residual([stack, nodes[0]], K_REF, model) == cons
+    """Batches of random samples, one state at a time: the two-level scalar forms
+    against the matrix functions, and the matrix functions against their definitions."""
 
     @pytest.mark.parametrize("gammas", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)])
     def test_match_single_states(self, baths03, rng, gammas):
-        n = 24
-        p = rng.uniform(0.0, 1.0, n)
-        q = rng.uniform(-3.0, 3.0, n)
-        u = rng.uniform(-2.0, 40.0, (n, 1))
-        rho = np.array([diag_state(v) for v in p])
-        pi = np.array([diag_costate(v) for v in q])
-        self.check_stack(TwoLevelResetModel(baths03), rho, pi, u, gammas)
+        # pmp._two_level_forms, sample by sample, gives the values of the dim-2 matrix
+        # functions to a few ulps of their largest term, at gaps from 1e-3 to 60 and
+        # populations from 1e-12 to 1.  A matrix term pairs a_00 = q or a_11 = -(q + u)
+        # with an entry of the generator, at most 2 (gamma_c + gamma_h) in size
+        model = TwoLevelResetModel(baths03)
+        n = 48
+        u = np.exp(rng.uniform(math.log(1e-3), math.log(60.0), n))
+        p = np.concatenate([10.0 ** rng.uniform(-12.0, -1.0, n // 2), rng.uniform(0.0, 1.0, n // 2)])
+        q = rng.uniform(-30.0, 30.0, n)
+        h, dh, qdot, a, _, _ = _two_level_forms(p, q, u, *gammas, model)
+        eps = np.finfo(float).eps
+        for j in range(n):
+            rho, pi, ctrl = diag_state(p[j]), diag_costate(q[j]), ControlVector(u=[u[j]], gamma_c=gammas[0], gamma_h=gammas[1])
+            node = TrajectoryNode(t=0.0, rho=rho, pi=pi, control=ctrl)
+            tol = 4 * eps * 2 * sum(gammas) * (abs(q[j]) + abs(q[j] + u[j]) + 1.0)
+            assert abs(pseudo_hamiltonian(rho, pi, ctrl, model) - h[j]) <= tol
+            assert abs(stationarity_residual(node, model) - abs(dh[j])) <= tol
+            pi_dot = costate_rhs(pi, ctrl, model)
+            assert abs(pi_dot[0, 0].real - qdot[j]) <= tol and abs(pi_dot[1, 1].real + qdot[j]) <= tol
+            assert abs(switching_functional(rho, pi, u[j], model) - a[j]) <= 4 * eps * abs(2 * q[j] + u[j])
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 8])
     @pytest.mark.parametrize("gammas", [(1.0, 0.0), (0.6, 0.4)])
     def test_match_single_states_at_higher_dims(self, baths03, rng, dim, gammas):
-        # diagonal states whose traces round off one, and Hermitian costates; from
-        # dim 4 on, a trace summed pairwise across the stack would round differently
+        # diagonal states whose traces round off one, and Hermitian costates: the
+        # pseudo-Hamiltonian and the costate velocity are their matrix definitions to
+        # the bit, the switching function its definition to a few ulps, and the
+        # conservation residual the worst node's
+        model = DiagonalResetModel(baths03, dim)
         n = 15
         pops = rng.uniform(0.0, 1.0, (n, dim))
         rho = np.array([np.diag(v / v.sum()) for v in pops]).astype(complex)
         a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
         pi = a + np.conj(np.swapaxes(a, -1, -2))
         u = rng.uniform(-8.0, 12.0, (n, dim - 1))
-        self.check_stack(DiagonalResetModel(baths03, dim), rho, pi, u, gammas)
-
-    @pytest.mark.parametrize("gammas", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)])
-    def test_two_leading_axes_keep_their_order(self, baths03, rng, gammas):
-        model = TwoLevelResetModel(baths03)
-        rho = np.array([diag_state(v) for v in rng.uniform(0.0, 1.0, 12)])
-        pi = np.array([diag_costate(v) for v in rng.uniform(-3.0, 3.0, 12)])
-        u = rng.uniform(-2.0, 40.0, (12, 1))
-        flat = ControlVector(u=u, gamma_c=gammas[0], gamma_h=gammas[1])
-        grid = ControlVector(u=u.reshape(3, 4, 1), gamma_c=gammas[0], gamma_h=gammas[1])
-        rho2, pi2 = rho.reshape(3, 4, 2, 2), pi.reshape(3, 4, 2, 2)
-        ph = pseudo_hamiltonian(rho2, pi2, grid, model)
-        assert np.array_equal(ph, pseudo_hamiltonian(rho, pi, flat, model).reshape(3, 4))
-        a = switching_functional(rho2, pi2, grid.u, model)
-        assert np.array_equal(a, switching_functional(rho, pi, u, model).reshape(3, 4))
-        lam = gauge_lambda(pi2, grid, model)
-        assert np.array_equal(lam, gauge_lambda(pi, flat, model).reshape(3, 4))
-        pi_dot = costate_rhs(pi2, grid, model)
-        assert np.array_equal(pi_dot, costate_rhs(pi, flat, model).reshape(3, 4, 2, 2))
+        nodes = []
+        for j in range(n):
+            ctrl = ControlVector(u=u[j], gamma_c=gammas[0], gamma_h=gammas[1])
+            arg = pi[j] - model.hamiltonian(u[j])
+            value = pseudo_hamiltonian(rho[j], pi[j], ctrl, model)
+            assert type(value) is float and value == _trace(arg @ lindblad_rhs(rho[j], ctrl, model)).real
+            lam = gauge_lambda(pi[j], ctrl, model)
+            assert type(lam) is float
+            assert np.array_equal(costate_rhs(pi[j], ctrl, model), -(adjoint_generator(arg, ctrl, model) + lam * np.eye(dim)))
+            eta_h, eta_c = model.equilibrium(u[j], "hot"), model.equilibrium(u[j], "cold")
+            eta = eta_h - eta_c
+            terms = np.abs(np.diagonal(arg)) * np.diagonal(eta_h + eta_c).real
+            value = switching_functional(rho[j], pi[j], u[j], model)
+            assert type(value) is float
+            assert abs(value - _trace(arg @ eta).real * _trace(rho[j]).real) <= 8 * np.finfo(float).eps * terms.sum()
+            nodes.append(TrajectoryNode(t=0.0, rho=rho[j], pi=pi[j], control=ctrl))
+        cons = conserved_k_residual(nodes, K_REF, model)
+        assert type(cons) is float and cons == max(conserved_k_residual([node], K_REF, model) for node in nodes)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("stack", [(), (7,), (3, 4)])
     def test_adjoint_commutator_matches_matrix_form(self, baths03, rng, dim, stack):
-        # entry by entry, i[H, a] has the values of 1j (H a - a H) for any a
+        # entry by entry, i[H, a] has the values of 1j (H a - a H) for any a, over a
+        # batch of shape `stack`, one state at a time
         model = DiagonalResetModel(baths03, dim)
         a = rng.normal(size=stack + (dim, dim)) * 1e3 + 1j * rng.normal(size=stack + (dim, dim))
         u = rng.uniform(-2.0, 40.0, stack + (dim - 1,))
-        h = model.hamiltonian(u)
-        got = adjoint_generator(a, ControlVector(u=u, gamma_c=0.0, gamma_h=0.0), model)
-        assert np.array_equal(got, 1j * (h @ a - a @ h))
+        for j in np.ndindex(stack):
+            h = model.hamiltonian(u[j])
+            got = adjoint_generator(a[j], ControlVector(u=u[j], gamma_c=0.0, gamma_h=0.0), model)
+            assert np.array_equal(got, 1j * (h @ a[j] - a[j] @ h))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("rates", [(1.0, 0.0), (0.0, 2.0), (0.6, 0.4)])
@@ -387,11 +378,11 @@ class TestStackedResiduals:
             for kind, gamma in zip(("cold", "hot"), rates):
                 if gamma > 0.0:
                     eta = model.equilibrium(u, kind)
-                    mean = np.asarray(_sum(eta.T[i, i] * a.T[i, i] for i in range(dim))).T
-                    out = out + gamma * (np.multiply.outer(mean, np.eye(dim)) - a)
+                    mean = _sum(eta[i, i] * a[i, i] for i in range(dim))
+                    out = out + gamma * (mean * np.eye(dim) - a)
             return out
 
-        for a_, u_ in [(a[j], u[j]) for j in range(12)] + [(a, u), (a.reshape(3, 4, dim, dim), u.reshape(3, 4, dim - 1))]:
+        for a_, u_ in zip(a, u):
             got = adjoint_generator(a_, ControlVector(u=u_, gamma_c=rates[0], gamma_h=rates[1]), model)
             assert got.shape == a_.shape and np.array_equal(got, matrix_form(a_, u_))
 
@@ -440,5 +431,6 @@ class TestResiduals:
         assert report["nodes"] == 200 * len(plan.arcs)
         assert set(report) == {
             "max_dp", "max_dq", "max_conservation", "max_stationarity", "max_costate",
-            "max_bang_bang_violation", "nodes",
+            "max_bang_bang_violation", "max_heat_identity", "max_conservation_ratio",
+            "max_stationarity_ratio", "max_costate_ratio", "max_heat_identity_ratio", "nodes",
         }

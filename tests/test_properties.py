@@ -1,7 +1,9 @@
 """Property tests of the engine, switch-point and deadline solvers, the plans and the brute-force oracle.
 
-z spans 1e-4 ... 0.9999 and beta_c, gamma span 1e-3 ... 1e3 (log-uniform).
-Runs are derandomized, so the drawn cases repeat from run to run.
+z spans 1e-4 ... 0.9999 and beta_c, gamma span 1e-3 ... 1e3 (log-uniform);
+the PMP ratio gates are drawn over the whole admissible domain, z from 1e-9 to
+1 - 1e-12 and K down to 1e-10 K*.  Runs are derandomized, so the drawn cases
+repeat from run to run.
 """
 
 import math
@@ -17,6 +19,7 @@ from pmp_thermo.bruteforce import (
     simulate_bang_protocol,
     single_switch_patterns,
 )
+from pmp_thermo.cli import RATIO_GATE
 from pmp_thermo.lindblad import TwoLevelResetModel, integrate
 from pmp_thermo.planner import Unreachable, build_trajectory, plan_for_deadline, plan_to_protocol, validate_plan
 from pmp_thermo.two_level import HOT, Baths, adiabatic_f, engine_residuals, find_jump_points, mu, solve_engine
@@ -26,6 +29,8 @@ scales = st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)).map(math.e
 fractions = st.floats(min_value=0.0, max_value=1.0)
 
 prop = settings(derandomize=True, deadline=None, max_examples=60)
+
+RATIO_KEYS = ("max_conservation_ratio", "max_stationarity_ratio", "max_costate_ratio", "max_heat_identity_ratio")
 
 
 @prop
@@ -158,6 +163,7 @@ def _assert_plan_invariants(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, beta_
     assert report["max_stationarity"] < 1e-9 * gamma
     assert report["max_costate"] < 1e-9 * gamma / beta_c
     assert report["max_bang_bang_violation"] <= 1e-12 / beta_c
+    assert all(report[key] <= RATIO_GATE for key in RATIO_KEYS)
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -182,3 +188,41 @@ def test_plan_invariants_wide(z, k_frac, p_in, u_in, p_out, u_out, n_cycles, bet
     except Unreachable:
         K = k_frac * solve_engine(z, beta_c=beta_c, gamma=gamma).K_star
         assert p_out > 0.5 * (1.0 - mu(K, z * beta_c, HOT, gamma))
+
+
+# z log-uniform toward 0 and toward 1; populations within 1e-12 of 0, or in [0.01, 0.49]
+domain_ratios = st.one_of(
+    st.floats(min_value=-9.0, max_value=math.log10(0.5)).map(lambda e: 10.0**e),
+    st.floats(min_value=-12.0, max_value=math.log10(0.5)).map(lambda e: 1.0 - 10.0**e),
+)
+populations = st.one_of(
+    st.floats(min_value=-15.0, max_value=-12.0).map(lambda e: 10.0**e),
+    st.floats(min_value=0.01, max_value=0.49),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    z=domain_ratios,
+    beta_c=scales,
+    gamma=scales,
+    k_exp=st.floats(min_value=-10.0, max_value=0.0),
+    p_in=populations,
+    u_in=st.floats(min_value=0.0, max_value=10.0),
+    p_out=populations,
+    u_out=st.floats(min_value=0.0, max_value=10.0),
+    n_cycles=st.integers(min_value=0, max_value=3),
+)
+def test_pmp_ratio_gates_over_the_domain(z, beta_c, gamma, k_exp, p_in, u_in, p_out, u_out, n_cycles):
+    # every residual of a correct plan within RATIO_GATE of its rounding floor, K
+    # from 1e-10 to 1 times K*; gaps in units 1/beta_c.  Unreachable endpoints are
+    # skipped: they are the planner's documented answer, not a residual
+    baths = Baths.from_ratio(z, beta_c=beta_c, gamma=gamma)
+    K = 10.0**k_exp * solve_engine(z, beta_c=beta_c, gamma=gamma).K_star
+    try:
+        plan = build_trajectory(p_in, u_in / beta_c, p_out, u_out / beta_c, K, n_cycles, baths)
+    except Unreachable:
+        return
+    report = validate_plan(plan, samples_per_segment=50)
+    assert {key: report[key] for key in RATIO_KEYS if not report[key] <= RATIO_GATE} == {}
+    assert report["max_bang_bang_violation"] <= 1e-12 / beta_c

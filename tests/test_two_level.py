@@ -718,6 +718,14 @@ class TestSegments:
         with pytest.raises(ValueError):
             make_segment(HOT, -4.1, baths, 1.0, 1.2)  # mu_h > 1
 
+    @pytest.mark.parametrize("branch", [COLD, HOT], ids=["cold", "hot"])
+    @pytest.mark.parametrize("x0, x1", [(math.nan, 2.0), (2.0, math.inf), (math.inf, 2.0), (2.0, math.nan)])
+    def test_nonfinite_endpoint_rejected(self, baths03, branch, x0, x1):
+        # nan passes every range comparison, and chi(inf) is nan: without the check
+        # both gave a segment of nan duration and heat
+        with pytest.raises(ValueError, match="control endpoints must be finite"):
+            make_segment(branch, K_REF, baths03, x0, x1)
+
     def test_negative_gap_segment(self, baths03):
         mu_cn = mu(K_REF, baths03.beta_c, COLD_NEG)
         x0 = isotherm_x_of_p(0.7, mu_cn)
