@@ -71,7 +71,7 @@ class ControlVector:
     """Instantaneous controls: Hamiltonian parameters and the two damping rates.
 
     u is one control vector, (n_controls,).  Construction checks that u is
-    finite and the rates finite and non-negative.  `integrate` builds one per
+    one finite vector and the rates finite and non-negative.  `integrate` builds one per
     occurrence of a piece, for its rates; its right-hand side checks and
     converts u once each, with the same message, so that it does not pay for
     a construction per evaluation.
@@ -84,6 +84,8 @@ class ControlVector:
     def __post_init__(self):
         u = np.atleast_1d(np.asarray(self.u, dtype=float))
         object.__setattr__(self, "u", u)
+        if u.ndim != 1:
+            raise ValueError(f"expected one control vector, got controls of shape {u.shape}")
         _check_finite(u)
         if self.gamma_c < 0.0 or self.gamma_h < 0.0:
             raise ValueError(f"damping rates must be non-negative, got {self.gamma_c}, {self.gamma_h}")

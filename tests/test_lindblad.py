@@ -165,6 +165,9 @@ class TestStackedModel:
                 assert np.array_equal(got, want)
         with pytest.raises(ValueError, match="state shape"):
             lindblad_rhs(rho, ControlVector(u=u[0], gamma_c=1.0, gamma_h=0.0), model)
+        # a stack of control vectors is refused where it is built, naming its shape
+        with pytest.raises(ValueError, match=r"one control vector, got controls of shape \(\d+, \d\)"):
+            ControlVector(u=u, gamma_c=1.0, gamma_h=0.0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_gap_derivative_matches_finite_difference(self, rng, dim):

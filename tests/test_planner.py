@@ -917,17 +917,21 @@ class TestStackedValidation:
 
     def test_one_stack_per_distinct_arc(self, baths03, monkeypatch):
         # repeated cycles share their arcs, and a residual does not depend on t: one
-        # pmp pass per distinct arc, on real arrays, with one Gibbs evaluation per bath
+        # pmp pass per distinct arc, on real arrays, with one switching functional of
+        # the arc's stack of states, and three Gibbs evaluations: the arc's bath for
+        # the scalar forms, both baths for the switching functional
         plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
-        seen, gibbs = [], []
-        residuals, one_gibbs = pmp.two_level_residuals, TwoLevelResetModel._gibbs
+        seen, switching, gibbs = [], [], []
+        residuals, selector, one_gibbs = pmp.two_level_residuals, pmp.switching_functional, TwoLevelResetModel._gibbs
         monkeypatch.setattr(pmp, "two_level_residuals", lambda *args: seen.append(args) or residuals(*args))
+        monkeypatch.setattr(pmp, "switching_functional", lambda *args: switching.append(args) or selector(*args))
         monkeypatch.setattr(TwoLevelResetModel, "_gibbs", lambda self, u, kind: gibbs.append(kind) or one_gibbs(self, u, kind))
         validate_plan(plan, samples_per_segment=20)
-        assert len(seen) == len(set(plan.arcs)) < len(plan.arcs)
+        assert len(seen) == len(switching) == len(set(plan.arcs)) < len(plan.arcs)
         assert {args[0] for args in seen} == set(plan.arcs)
         assert all(col.shape == (20,) and col.dtype == np.float64 for args in seen for col in args[3:])
-        assert len(gibbs) == 2 * len(set(plan.arcs)) == 8
+        assert all(a.shape == (20, 2, 2) and a.dtype == np.float64 for args in switching for a in args[:2])
+        assert len(gibbs) == 3 * len(set(plan.arcs)) == 12
 
     def test_costate_residual_sees_a_wrong_costate(self, baths03, monkeypatch):
         # q off by 1e-6 moves the costate velocity gamma (2q + u)/2 by gamma 1e-6,
@@ -997,13 +1001,14 @@ class TestStackedValidation:
         assert all(report[key] <= cli.RATIO_GATE for key in RATIO_KEYS)
 
 
-def test_validate_plan_inverts_nothing_and_builds_no_matrix(baths03, monkeypatch):
-    # the log-x grid needs no chi inversion, and the scalar forms no complex matrix
+def test_validate_plan_inverts_nothing_and_builds_no_complex_matrix(baths03, monkeypatch):
+    # the log-x grid needs no chi inversion, and the scalar forms and the switching
+    # functional's real stacks no complex matrix
     plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
     want = validate_plan(plan)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("validate_plan inverted an arc or built a matrix")
+        raise AssertionError("validate_plan inverted an arc or built a complex matrix")
 
     for module, name in ((planner, "chi"), (planner, "_arc_xs"), (pmp, "_entries"), (pmp, "_from_entries"),
                          (TwoLevelResetModel, "hamiltonian"), (TwoLevelResetModel, "equilibrium")):

@@ -280,6 +280,22 @@ class TestSwitchingFunctional:
             assert got < 0.0
             assert abs(got - want) <= 1e-14 * abs(want)
 
+    @pytest.mark.parametrize("u_val", [-20.0, -60.0, -100.0, -150.0])
+    def test_relative_accuracy_at_negative_gaps(self, u_val):
+        # both excited populations near 1: -(2q + u)(e_h - e_c) from them was 1e-3
+        # relative off at u = -100 and 1.0 at u = -150; dropping the lowest level's
+        # term keeps A within a few ulps, one state or a stack
+        baths = Baths(beta_c=1.0, beta_h=0.3)
+        model = TwoLevelResetModel(baths)
+        p, q = 0.2, 0.3
+        got = switching_functional(diag_state(p), diag_costate(q), np.array([u_val]), model)
+        stacked = switching_functional(np.array([diag_state(p)] * 2), np.array([diag_costate(q)] * 2), np.full((2, 1), u_val), model)
+        with mp.workdps(50):
+            e = lambda beta: 1 / (1 + mp.exp(mp.mpf(beta) * u_val))
+            want = -(2 * mp.mpf(q) + u_val) * (e(baths.beta_h) - e(baths.beta_c))
+        assert abs(got - want) <= 1e-14 * abs(want)
+        assert np.array_equal(stacked, [got, got])
+
     def test_sign_set_by_costate_combination(self, baths03):
         # at u = 1: 2q + u < 0 admits the cold bath (A > 0) and vice versa
         model = TwoLevelResetModel(baths03)
@@ -305,7 +321,7 @@ class TestStackedResiduals:
         u = np.exp(rng.uniform(math.log(1e-3), math.log(60.0), n))
         p = np.concatenate([10.0 ** rng.uniform(-12.0, -1.0, n // 2), rng.uniform(0.0, 1.0, n // 2)])
         q = rng.uniform(-30.0, 30.0, n)
-        h, dh, qdot, a, _, _ = _two_level_forms(p, q, u, *gammas, model)
+        h, dh, qdot, _, _ = _two_level_forms(p, q, u, *gammas, model)
         eps = np.finfo(float).eps
         for j in range(n):
             rho, pi, ctrl = diag_state(p[j]), diag_costate(q[j]), ControlVector(u=[u[j]], gamma_c=gammas[0], gamma_h=gammas[1])
@@ -315,7 +331,23 @@ class TestStackedResiduals:
             assert abs(stationarity_residual(node, model) - abs(dh[j])) <= tol
             pi_dot = costate_rhs(pi, ctrl, model)
             assert abs(pi_dot[0, 0].real - qdot[j]) <= tol and abs(pi_dot[1, 1].real + qdot[j]) <= tol
-            assert abs(switching_functional(rho, pi, u[j], model) - a[j]) <= 4 * eps * abs(2 * q[j] + u[j])
+
+    @pytest.mark.parametrize("dim, stack", [(2, (48,)), (2, (3, 4)), (4, (7,))])
+    def test_stacked_switching_functional_matches_single_states(self, baths03, rng, dim, stack):
+        # the one implementation of A takes a stack of real or complex states and
+        # gives each the bits it gets alone, in the stack's axis order
+        model = DiagonalResetModel(baths03, dim)
+        pops = rng.uniform(0.0, 1.0, stack + (dim,))
+        rho = np.zeros(stack + (dim, dim))
+        pi = rng.normal(size=stack + (dim, dim)) * 10.0
+        u = rng.uniform(-8.0, 60.0, stack + (dim - 1,))
+        for i in range(dim):
+            rho[..., i, i] = pops[..., i] / pops.sum(axis=-1)
+        for states in ((rho, pi), (rho.astype(complex), pi.astype(complex))):
+            got = switching_functional(*states, u, model)
+            assert got.shape == stack and got.dtype == np.float64
+            for j in np.ndindex(stack):
+                assert got[j] == switching_functional(rho[j], pi[j], u[j], model)
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 8])
     @pytest.mark.parametrize("gammas", [(1.0, 0.0), (0.6, 0.4)])
@@ -391,6 +423,37 @@ class TestStackedResiduals:
         rho = np.array([diag_state(0.3)] * 3)
         with pytest.raises(ValueError, match="costate shape"):
             pseudo_hamiltonian(rho, diag_costate(0.1), cold_ctrl(1.0), model)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rho, pi, model: pseudo_hamiltonian(rho, pi, cold_ctrl(1.0), model),
+            lambda rho, pi, model: costate_rhs(pi, cold_ctrl(1.0), model),
+            lambda rho, pi, model: gauge_lambda(pi, cold_ctrl(1.0), model),
+            lambda rho, pi, model: adjoint_generator(pi, cold_ctrl(1.0), model),
+            lambda rho, pi, model: switching_functional(rho, pi, np.array([1.0]), model),
+            lambda rho, pi, model: stationarity_residual(
+                TrajectoryNode(t=0.0, rho=rho, pi=pi, control=cold_ctrl(1.0)), model
+            ),
+            lambda rho, pi, model: conserved_k_residual(
+                [TrajectoryNode(t=0.0, rho=rho, pi=pi, control=cold_ctrl(1.0))], K_REF, model
+            ),
+        ],
+        ids=["pseudo_hamiltonian", "costate_rhs", "gauge_lambda", "adjoint_generator", "switching_functional",
+             "stationarity_residual", "conserved_k_residual"],
+    )
+    def test_stack_with_one_control_rejected(self, baths03, call):
+        # a stack of states and costates under one control vector is not one
+        # state: each function raises instead of reading the stack as one state
+        rho = np.array([diag_state(p) for p in (0.1, 0.2, 0.3)])
+        pi = np.array([diag_costate(q) for q in (0.1, 0.2, 0.3)])
+        with pytest.raises(ValueError, match="shape"):
+            call(rho, pi, TwoLevelResetModel(baths03))
+
+    def test_one_state_with_stacked_controls_rejected(self, baths03):
+        # one state and costate under a stack of gaps: the shapes are named
+        with pytest.raises(ValueError, match=r"do not match controls \(3, 1\)"):
+            switching_functional(diag_state(0.3), diag_costate(0.1), np.ones((3, 1)), TwoLevelResetModel(baths03))
 
 
 class TestResiduals:

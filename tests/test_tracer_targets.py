@@ -38,7 +38,8 @@ def test_traced_validate_plan_charges_the_pmp_layer(monkeypatch):
     # validate_plan must reach pmp through names the tracer can rebind: a name
     # bound at import would leave the pmp layer untimed.  Its pass is
     # pmp.two_level_residuals, which TARGETS does not list yet, so it is
-    # wrapped here as a hot pmp entry, beside the installed TARGETS
+    # wrapped here as a hot pmp entry, beside the installed TARGETS; the pass
+    # reaches TARGETS' pmp.switching_functional once per distinct arc
     tracer_module = _tracer_module()
     modules = {name: importlib.import_module(f"pmp_thermo.{name}") for name in tracer_module.LAYERS}
     plan = build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, 3, Baths.from_ratio(0.3))
@@ -53,4 +54,4 @@ def test_traced_validate_plan_charges_the_pmp_layer(monkeypatch):
         tracer.uninstall()
     assert tracer.layer_self_ns["pmp"] > 0
     assert tracer.calls["planner.validate_plan"] == 1
-    assert tracer.calls[name] == len(set(plan.arcs)) < len(plan.arcs)
+    assert tracer.calls[name] == tracer.calls["pmp.switching_functional"] == len(set(plan.arcs)) < len(plan.arcs)
