@@ -248,7 +248,7 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
         rho0 = np.diag([1.0 - pa, pa]).astype(complex)
         res = integrate(rho0, planner.plan_to_protocol(plan), model)
         worst = max(worst, abs(res.ledger.heat_released - seg.heat) / max(abs(seg.heat), 1e-12))
-    checks.append(("closed-form-vs-ode", worst < 1e-6, f"worst rel err {worst:.2e}"))
+    checks.append(("closed-form-vs-ode", worst < 1e-10, f"worst rel err {worst:.2e}"))
 
     plan = planner.build_trajectory(0.07, 1.0, 0.26, 6.0, -0.05, 0, baths)
     report = planner.validate_plan(plan)

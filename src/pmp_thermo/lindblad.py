@@ -2,15 +2,13 @@
 
 Dynamics: drho/dt = -i[H_u, rho] + gamma_c * D_c[rho] + gamma_h * D_h[rho],
 with D_b[rho] = eta_b(u) tr(rho) - rho the single-bath reset map toward the
-instantaneous Gibbs state.  Heat and work are accumulated as extra ODE
-components so their quadrature rides on the same adaptive grid as the state,
-keeping first-law closure at integrator order.
+instantaneous Gibbs state.  Heat and work are accumulated beside the state,
+on the same steps, keeping first-law closure at the integrator's order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -36,10 +34,9 @@ __all__ = [
 
 _TRACE_DRIFT_LIMIT = 1e-8
 _RTOL = 1e-9
-# For a piece that carries u, whose stage values feed the rates of rho and Q: at _RTOL,
-# two solves of one plan differed by 1.5e-8 in sampled heat, at half of it by 4.9e-9
-_CARRIED_RTOL = _RTOL / 2
 _ATOL = 1e-12
+# steps of a path piece in sigma, in chunks of at most this many: memory stays flat in gamma T
+_CHUNK = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -330,33 +327,35 @@ def _adjoint_generator(y: list, energies: list, resets: list) -> list:
 class ProtocolPiece:
     """Smooth stretch of a control schedule; boundaries are declared discontinuities.
 
-    s below is the time since the piece's start.  Without `dudt`, `u` is a
-    constant vector or a callable u(s), whose velocity is a central difference
-    clamped to [0, duration].  With `dudt`, `u` is the constant control at the
-    piece's start and du/ds = dudt(s, u): `integrate` carries u as solution
-    components, so a velocity given by the control itself needs no inversion.
-    One piece object can stand for every occurrence of a recurring arc, and
-    `integrate` solves it once.
+    A piece takes exactly one of `u` and `path`.  `u` is a constant vector or
+    a callable u(s) of the time s since the piece's start, whose velocity is a
+    central difference clamped to [0, duration]; `integrate` solves such a
+    piece by DOP853.  `path` maps an array of sigma in [0, 1] to the arrays
+    (t, dt/dsigma, u, du/dsigma): t is the time since the piece's start, rising
+    from 0 at sigma = 0 to `duration` at sigma = 1, and u and du/dsigma have
+    the shape (sigma.size, n_controls).  `integrate` steps a path piece in
+    sigma, so it inverts no t(sigma), and solves it once however often the
+    same piece object occurs.
     """
 
     duration: float
-    u: np.ndarray | float | Callable[[float], np.ndarray]
+    u: np.ndarray | float | Callable[[float], np.ndarray] | None
     gamma_c: float
     gamma_h: float
-    dudt: Callable[[float, np.ndarray], np.ndarray] | None = None
+    path: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
-        if self.dudt is not None and callable(self.u):
-            raise ValueError("a piece with dudt(s, u) takes u as its constant start value, not a callable u(s)")
+        if (self.u is None) == (self.path is None):
+            raise ValueError("a piece takes either u or path(sigma), not both or neither")
 
     def u_at(self, s: float) -> np.ndarray:
-        """u(s); with `dudt`, the start value at any s."""
+        """u(s) of a piece without `path`."""
         if callable(self.u):
             return np.array(self.u(s), dtype=float, ndmin=1)
         return np.atleast_1d(np.asarray(self.u, dtype=float))
 
     def dudt_at(self, s: float) -> np.ndarray:
-        """du/ds of a piece without `dudt`."""
+        """du/ds of a piece without `path`."""
         if not callable(self.u):
             return np.zeros_like(self.u_at(s))
         h = max(1e-7 * self.duration, 1e-12)
@@ -391,43 +390,192 @@ class IntegrationResult:
         return self.states[-1]
 
 
+def _stage_matrix(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Collocation's stage matrix A on the nodes c: A_jl is the integral from 0
+    to c_j of the l-th Lagrange polynomial on c, by the rule (c, b) scaled to
+    [0, c_j], which is exact at that degree."""
+    at = np.multiply.outer(c, c)
+    lagrange = [np.prod([(at - c[m]) / (c[l] - c[m]) for m in range(c.size) if m != l], axis=0) for l in range(c.size)]
+    return c[:, None] * (np.array(lagrange) @ b).T
+
+
+# Gauss-Legendre nodes and weights of 6 points on [0, 1], the roots of the Legendre polynomial
+# P6 mapped from [-1, 1], to 20 digits: Gauss collocation on them is of order 12 and A-stable
+# (Hairer and Wanner, Solving ODEs II, section IV.5)
+_NODES = np.array([
+    0.033765242898423986094, 0.16939530676686774317, 0.38069040695840154568,
+    0.61930959304159845432, 0.83060469323313225683, 0.96623475710157601391,
+])
+_WEIGHTS = np.array([
+    0.08566224618958517252, 0.18038078652406930378, 0.23395696728634552369,
+    0.23395696728634552369, 0.18038078652406930378, 0.08566224618958517252,
+])
+_STAGES = _stage_matrix(_NODES, _WEIGHTS)
+
+
 @dataclass
-class _Solved:
-    """The solved occurrence a of a recurring piece, from a diagonal start: its
-    sample times s since its start, its solution rows y (rho entries, Q, W,
-    atol I_k, atol J_k, then u_k for a piece with `dudt`; the first column is
-    the start), its output u and the piece's total rate gamma_c + gamma_h."""
+class _PathMap:
+    """A path piece solved once, at its output samples: the times t since its
+    start and the controls u there, and the affine map of its start state.
+    `coef`, (samples (dim + 3), dim + 3), takes (p_0, ..., p_{dim-1}, tr rho, Q, W)
+    at the start to the same at each sample, one sample after the other.
+    `phase` holds int E_i dt at each sample, `rate` is Gamma, and h_start and
+    h_end are the Hamiltonians at the piece's ends."""
 
-    s: np.ndarray
-    y: np.ndarray
+    t: np.ndarray
     u: np.ndarray
+    coef: np.ndarray
+    phase: np.ndarray
     rate: float
+    h_start: np.ndarray
+    h_end: np.ndarray
 
-    def map(self, rho: np.ndarray, q: float, w: float) -> np.ndarray:
-        """The rows (rho entries, Q, W) of an occurrence b from the diagonal state
-        rho with ledgers q and w, exactly as the ODE gives them.
-
-        The commutator's diagonal is zero, so the populations obey
-        dp_i/ds = sum_b gamma_b eta_i^b(u) tr rho - Gamma p_i, Gamma = `rate`.
-        With c = tr rho_b(0) / tr rho_a(0), which carries over the source term,
-        and delta = p_b(0) - c p_a(0), which decays at rate Gamma:
-        p_b(s) = c p_a(s) + e^{-Gamma s} delta,
-        Q_b(s) - Q_b(0) = c (Q_a(s) - Q_a(0)) + Gamma sum_k delta_k I_k(s),
-        W_b(s) - W_b(0) = c (W_a(s) - W_a(0)) - sum_k delta_k J_k(s),
-        k over the levels 1..dim-1.
-        """
+    def occurrence(self, rho: np.ndarray, q: float, w: float, t_lo: float) -> tuple[np.ndarray, ...]:
+        """(sample times, states, Q, W) of an occurrence from rho with ledgers q
+        and w at t_lo: one product with the stored coefficients, and where rho
+        has coherences, their factor e^{-Gamma t - i int (E_i - E_j) dt}."""
         dim = rho.shape[0]
-        n = dim * dim
-        y, pops_a = self.y, self.y[: n : dim + 1]
+        ts = t_lo + self.t
+        if not (ts[1:] > ts[:-1]).all():
+            raise IntegrationError(f"piece of duration {self.t[-1]} has repeated sample times", t=t_lo)
         pops = rho.diagonal().real
-        c = pops.sum() / pops_a[:, 0].sum()
-        delta = pops - c * pops_a[:, 0]
-        out = np.zeros((2 * n + 2, self.s.size))
-        out[: n : dim + 1] = c * pops_a + np.multiply.outer(delta, np.exp(-self.rate * self.s))
-        i_k, j_k = y[2 * n + 2 : 2 * n + 1 + dim] / _ATOL, y[2 * n + 1 + dim : 2 * n + 2 * dim] / _ATOL
-        out[2 * n] = q + c * (y[2 * n] - y[2 * n, 0]) + self.rate * (delta[1:] @ i_k)
-        out[2 * n + 1] = w + c * (y[2 * n + 1] - y[2 * n + 1, 0]) - delta[1:] @ j_k
-        return out
+        rows = (self.coef @ np.concatenate([pops, [pops.sum(), q, w]])).reshape(-1, dim + 3)
+        states = np.zeros((rows.shape[0], dim, dim))
+        states[:, range(dim), range(dim)] = rows[:, :dim]
+        coherences = rho - np.diag(rho.diagonal())
+        if coherences.any():
+            turn = self.phase[:, :, None] - self.phase[:, None, :]
+            states = states + coherences * np.exp(-self.rate * self.t[:, None, None] - 1j * turn)
+        return ts, states, rows[:, dim + 1], rows[:, dim + 2]
+
+
+def _solve_path(piece: ProtocolPiece, model: DiagonalResetModel, samples: int) -> _PathMap:
+    """Gauss collocation of a path piece in sigma, as the affine map of its start state.
+
+    The commutator has no diagonal, so the populations obey
+    dp_i/dsigma = t'(sigma) (sum_b gamma_b eta_i^b(u) tr rho - Gamma p_i),
+    Gamma = gamma_c + gamma_h, and the ledgers dQ/dsigma = -sum_i E_i dp_i/dsigma
+    and dW/dsigma = -sum_k (du_k/dsigma) p_{k+1}: all linear in (p, tr rho),
+    with tr rho held at its start value, as a reset model's Gibbs populations,
+    which sum to 1, hold it.  The steps end at the samples, uniform in sigma,
+    each split until Gamma dt <= 1, dt the Gauss rule's integral of t'.  One
+    6 x 6 stage system per step serves every level and makes the step a matrix
+    on (p, tr rho, Q, W); the running products of the steps, by doubling, are
+    the map at the samples.  Q and W are quadratures of the stage values, so
+    the first law holds to rounding where the energies are polynomials of
+    degree 5 or less in sigma.  The steps go in chunks of at most _CHUNK.
+    """
+    dim, size = model.dim, model.dim + 3
+    rate = piece.gamma_c + piece.gamma_h
+    sigma = np.linspace(0.0, 1.0, samples)
+    t, slope, u, _ = piece.path(sigma)
+    u = model._controls(u)
+    _check_finite(u)
+    h_start = model.hamiltonian(u[0])
+    if not piece.duration > 0.0:
+        return _PathMap(t, u, np.empty(0), np.empty(0), rate, h_start, h_start)
+    ControlVector(u[0], piece.gamma_c, piece.gamma_h)  # the rates, checked once
+    baths = [(gamma, kind) for kind, gamma in (("cold", piece.gamma_c), ("hot", piece.gamma_h)) if gamma > 0.0]
+    # steps per sample interval from its larger end slope, which bounds a monotone t' inside;
+    # first[k] is the step that sample k starts
+    counts = np.ceil(rate / (samples - 1) * np.maximum(slope[:-1], slope[1:]))
+    counts = np.append(np.maximum(counts, 1.0).astype(np.int64), 1)
+    first = np.concatenate([[0], np.cumsum(counts)])
+    total, edges = int(first[-2]), np.append(sigma, 1.0)
+    coef = np.empty((samples, size, size))
+    coef[0] = carry = np.eye(size)
+    phase = np.zeros((samples, dim))
+    turned = np.zeros(dim - 1)
+    for lo in range(0, total, _CHUNK):
+        i = np.arange(lo, min(lo + _CHUNK, total) + 1)
+        k = np.searchsorted(first, i, side="right") - 1
+        ends = edges[k] + (edges[k + 1] - edges[k]) * ((i - first[k]) / counts[k])
+        sample = np.where(i == first[k], k, -1)
+        while True:
+            h = np.diff(ends)
+            _, tau, un, dun = piece.path((ends[:-1, None] + h[:, None] * _NODES).ravel())
+            tau = tau.reshape(-1, 6)
+            parts = np.ceil(rate * h * (tau @ _WEIGHTS))
+            if not (parts > 1.0).any():
+                break
+            parts = np.maximum(parts, 1.0).astype(np.int64)
+            j = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+            ends = np.append(np.repeat(ends[:-1], parts) + np.repeat(h / parts, parts) * j, ends[-1])
+            sample = np.append(np.where(j == 0, np.repeat(sample[:-1], parts), -1), sample[-1])
+        un = model._controls(un)
+        _check_finite(un)
+        n = h.size
+        source = np.zeros((dim, un.shape[0]))
+        for gamma, kind in baths:
+            source += gamma * model._gibbs(un, kind)
+        un, dun = un.reshape(n, 6, dim - 1), dun.reshape(n, 6, dim - 1)
+        # stage derivatives per unit tr rho (columns :dim) and per unit p_i (column dim),
+        # and the stage values less the step's start
+        stage = np.eye(6) + (rate * h)[:, None, None] * tau[:, :, None] * _STAGES
+        rhs = np.concatenate([tau[..., None] * source.T.reshape(n, 6, dim), -rate * tau[..., None]], axis=2)
+        x = np.linalg.solve(stage, rhs)
+        ax = h[:, None, None] * (_STAGES @ x)
+        hb = h[:, None] * _WEIGHTS
+        # the step's matrix; level 0 has energy 0
+        step = np.tile(np.eye(size), (n, 1, 1))
+        step[:, range(dim), range(dim)] += (hb * x[..., dim]).sum(axis=1)[:, None]
+        step[:, :dim, dim] = np.einsum("nj,nji->ni", hb, x[..., :dim])
+        step[:, dim + 1, 1:dim] = -np.einsum("nj,nji->ni", hb * x[..., dim], un)
+        step[:, dim + 1, dim] = -np.einsum("nj,nji,nji->n", hb, un, x[..., 1:dim])
+        step[:, dim + 2, 1:dim] = -np.einsum("nj,nji->ni", hb * (1.0 + ax[..., dim]), dun)
+        step[:, dim + 2, dim] = -np.einsum("nj,nji,nji->n", hb, dun, ax[..., 1:dim])
+        span = 1
+        while span < n:
+            step[span:] = step[span:] @ step[:-span]
+            span *= 2
+        step = step @ carry
+        turns = turned + np.cumsum(np.einsum("nj,nji->ni", hb * tau, un), axis=0)
+        hit = np.flatnonzero(sample[1:] >= 0)
+        coef[sample[1:][hit]] = step[hit]
+        phase[sample[1:][hit], 1:] = turns[hit]
+        carry, turned = step[-1], turns[-1]
+    return _PathMap(t, u, coef.reshape(-1, size), phase, rate, h_start, model.hamiltonian(u[-1]))
+
+
+def _solve_steps(piece: ProtocolPiece, model: DiagonalResetModel, rho: np.ndarray, q: float, w: float,
+                 t_lo: float, samples: int) -> tuple[np.ndarray, ...]:
+    """(sample times, states, Q, W, u) of an occurrence of a piece with u, from
+    rho with ledgers q and w at t_lo: DOP853 on (re rho, im rho, Q, W)."""
+    dim = model.dim
+    n = dim * dim
+    # the rates are fixed along a piece: checked here once, with u at its start
+    ControlVector(piece.u_at(0.0), piece.gamma_c, piece.gamma_h)
+    # at large t or tiny durations the grid can round to repeated times
+    t_eval = np.linspace(t_lo, t_lo + piece.duration, samples)
+    if not np.all(np.diff(t_eval) > 0.0):
+        raise IntegrationError(f"piece of duration {piece.duration} has repeated sample times", t=t_lo)
+
+    def rhs(t, y):
+        # plain floats: a piece's callables run faster on them than on np.float64, same bits
+        s = float(t) - t_lo
+        u_t = piece.u_at(s)
+        _check_finite(u_t)
+        energies, resets = _terms(u_t, piece.gamma_c, piece.gamma_h, model)
+        dudt = piece.dudt_at(s).tolist()
+        y = y.tolist()
+        ldot = _generator(y, energies, resets)
+        # -sum_i E_i ldot_ii and -sum_k (du_k/dt) rho_{k+1,k+1}, summed from 0 as _trace sums
+        dq = 0.0
+        for i, e in enumerate(energies):
+            dq = dq + e * ldot[i * (dim + 1)]
+        dw = 0.0
+        for k, v in enumerate(dudt):
+            dw = dw + v * y[(k + 1) * (dim + 1)]
+        return np.array(ldot + [-dq, -dw])
+
+    flat = rho.reshape(-1)
+    start = np.concatenate([flat.real, flat.imag, [q, w]])
+    ts, ys, failure = dop853(rhs, t_lo, t_lo + piece.duration, start, t_eval, _RTOL, _ATOL)
+    if failure:
+        raise IntegrationError(f"integrator failed: {failure}", t=float(ts[-1]) if ts.size else t_lo)
+    u = np.array([piece.u_at(t - t_lo) for t in ts.tolist()])
+    _check_finite(u)
+    return ts, (ys[:n] + 1j * ys[n : 2 * n]).T.reshape(-1, dim, dim), ys[2 * n], ys[2 * n + 1], u
 
 
 def integrate(
@@ -436,123 +584,77 @@ def integrate(
     model,
     samples_per_piece: int = 50,
 ) -> IntegrationResult:
-    """Adaptively integrate the master equation along a piecewise protocol.
+    """Integrate the master equation along a piecewise protocol.
 
     The state is continuous across control jumps; instantaneous quenches
-    contribute work -<rho dH> at piece boundaries and no heat.  A piece is
-    solved by DOP853 at rtol 1e-9 and atol 1e-12 on the vector (re rho,
-    im rho, Q, W), stepping in global time t and asking its callables at
-    t - t_start.  A piece with `dudt` appends its controls u_k to the vector,
-    after any extras below, and is solved at rtol 5e-10: its output u and the
-    gap where it ends come from the solution.  A piece object that occurs
-    more than once is solved once, at its first occurrence from an exactly
-    diagonal state, with the integrals I_k = int E_k e^{-Gamma s} ds and
-    J_k = int (du_k/ds) e^{-Gamma s} ds (Gamma = gamma_c + gamma_h) as extra
-    components; a later occurrence from a diagonal state, which the model
-    keeps diagonal, is mapped from that solution exactly (`_Solved.map`), its
-    u the solved one's, and one from any other state is solved.
-    Raises ValueError for an invalid initial state, IntegrationError on step
-    failure or for an occurrence whose sample times round to repeated
-    values, and TraceDriftError when |tr rho - 1| exceeds 1e-8.  The error's
-    `t` is an output sample: for a step failure the last sample reached
-    before it (the occurrence's start if none or if the samples repeat), for
-    trace drift the first sample past the bound, in the occurrence where the
-    drift first passes it.
+    contribute work -<rho dH> at piece boundaries and no heat.  A piece of
+    zero duration is a quench to its start control.
+
+    A piece with `u` is solved by DOP853 at rtol 1e-9 and atol 1e-12 on the
+    vector (re rho, im rho, Q, W), stepping in global time t and asking u at
+    t - t_start, with samples uniform in t.  A piece with `path` is solved
+    once, at its first occurrence, by 6-stage Gauss collocation in sigma on
+    its populations, Q and W (`_solve_path`), with samples uniform in sigma
+    and t(sigma) reported; its coherences get their exact factor
+    e^{-Gamma t - i int (E_i - E_j) dt}.  Every occurrence, the first one
+    included, is then the affine map of its start state (p, tr rho, Q, W,
+    coherences) through the stored coefficients.
+
+    Raises ValueError for an invalid initial state, a negative duration or a
+    non-finite control, IntegrationError on a DOP853 step failure or for an
+    occurrence whose sample times round to repeated values, and
+    TraceDriftError when |tr rho - 1| exceeds 1e-8.  The error's `t` is an
+    output sample: for a step failure the last sample reached before it (the
+    occurrence's start if none, or if the samples repeat), for trace drift
+    the first sample past the bound.
     """
     dim = model.dim
-    n = dim * dim
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0)
     pieces = protocol.pieces
     if not pieces:
         raise ValueError("protocol has no pieces")
-    recurring = {key for key, count in Counter(map(id, pieces)).items() if count > 1}
+    samples = max(samples_per_piece, 2)
 
     t_lo = protocol.t0
     rho, q_acc, w_acc = rho0, 0.0, 0.0
-    # h is the Hamiltonian where the latest piece ended (at first, where the first one starts)
-    h = model.hamiltonian(pieces[0].u_at(0.0))
-    energy_initial = float(np.trace(rho0 @ h).real)
-    solved: dict[int, _Solved] = {}  # by id of a recurring piece
-    blocks = []  # (piece, sample times, rows of rho entries, Q and W, u) of each occurrence of positive duration
+    # h is the Hamiltonian where the latest piece ended
+    h = energy_initial = None
+    solved: dict[int, _PathMap] = {}  # by id of a path piece
+    blocks = []  # (piece, sample times, states, Q, W, u) of each occurrence of positive duration
 
-    for i, piece in enumerate(pieces):
+    for piece in pieces:
         if piece.duration < 0.0:
             raise ValueError(f"negative piece duration {piece.duration}")
-        if i:
+        if piece.path is None:
+            h_start = model.hamiltonian(piece.u_at(0.0))
+        else:
+            if id(piece) not in solved:
+                solved[id(piece)] = _solve_path(piece, model, samples)
+            path = solved[id(piece)]
+            h_start = path.h_start
+        if h is None:
+            energy_initial = float(np.trace(rho0 @ h_start).real)
+        else:
             # instantaneous quench: state frozen, work picks up the gap change
-            w_acc += -float(np.trace(rho @ (model.hamiltonian(piece.u_at(0.0)) - h)).real)
+            w_acc += -float(np.trace(rho @ (h_start - h)).real)
+        h = h_start
         t_hi = t_lo + piece.duration
-        carried = piece.dudt is not None
-        u_end = piece.u_at(t_hi - t_lo)
         if piece.duration > 0.0:
-            # the rates are fixed along a piece: checked here once, with u at its start
-            ControlVector(piece.u_at(0.0), piece.gamma_c, piece.gamma_h)
-            # at large t or tiny durations the grid can round to repeated times
-            t_eval = np.linspace(t_lo, t_hi, max(samples_per_piece, 2))
-            if not np.all(np.diff(t_eval) > 0.0):
-                raise IntegrationError(f"piece of duration {piece.duration} has repeated sample times", t=t_lo)
-            # a recurring piece is solved once from a diagonal start, which stays diagonal, then mapped
-            diagonal = id(piece) in recurring and not np.count_nonzero(rho - np.diag(rho.diagonal().real))
-            first = solved.get(id(piece)) if diagonal else None
-            m = 2 * n + 2 + 2 * (dim - 1) * diagonal  # where a carried u starts
-            if first is not None:
-                ts, ys, u = t_eval, first.map(rho, q_acc, w_acc), first.u
+            if piece.path is None:
+                ts, states, q, w, u = _solve_steps(piece, model, rho, q_acc, w_acc, t_lo, samples)
+                h = model.hamiltonian(piece.u_at(t_hi - t_lo))
             else:
-
-                def rhs(t, y, piece=piece, t_lo=t_lo, extra=diagonal, carried=carried, m=m):
-                    # plain floats: a piece's callables run faster on them than on np.float64, same bits
-                    s = float(t) - t_lo
-                    u_t = y[m:] if carried else piece.u_at(s)
-                    _check_finite(u_t)
-                    energies, resets = _terms(u_t, piece.gamma_c, piece.gamma_h, model)
-                    dudt = (np.array(piece.dudt(s, u_t), dtype=float, ndmin=1) if carried else piece.dudt_at(s)).tolist()
-                    y = y.tolist()
-                    ldot = _generator(y, energies, resets)
-                    # -sum_i E_i ldot_ii and -sum_k (du_k/dt) rho_{k+1,k+1}, summed from 0 as _trace sums
-                    dq = 0.0
-                    for i, e in enumerate(energies):
-                        dq = dq + e * ldot[i * (dim + 1)]
-                    dw = 0.0
-                    for k, v in enumerate(dudt):
-                        dw = dw + v * y[(k + 1) * (dim + 1)]
-                    out = ldot + [-dq, -dw]
-                    if extra:
-                        # I_k and J_k times atol: the step control weighs a component by
-                        # atol + rtol |y|, so it all but ignores them.  Unscaled, they let
-                        # DOP853 take steps about 25 % longer, with 10 times the first-law error
-                        decay = _ATOL * math.exp(-(piece.gamma_c + piece.gamma_h) * s)
-                        out += [e * decay for e in energies[1:]] + [v * decay for v in dudt]
-                    if carried:
-                        out += dudt
-                    return np.array(out)
-
-                flat = rho.reshape(-1)
-                extras = [np.zeros(2 * (dim - 1) * diagonal), piece.u_at(0.0) if carried else ()]
-                start = np.concatenate([flat.real, flat.imag, [q_acc, w_acc], *extras])
-                ts, ys, failure = dop853(rhs, t_lo, t_hi, start, t_eval, _CARRIED_RTOL if carried else _RTOL, _ATOL)
-                if failure:
-                    raise IntegrationError(f"integrator failed: {failure}", t=float(ts[-1]) if ts.size else t_lo)
-            drift = np.abs(ys[:n : dim + 1].sum(axis=0) - 1.0)
+                (ts, states, q, w), u, h = path.occurrence(rho, q_acc, w_acc, t_lo), path.u, path.h_end
+            drift = np.abs(states.diagonal(axis1=1, axis2=2).real.sum(axis=1) - 1.0)
             bad = np.flatnonzero(drift > _TRACE_DRIFT_LIMIT)
             if bad.size:
                 raise TraceDriftError(f"trace drift {drift[bad[0]]:.3e}", t=float(ts[bad[0]]))
-            if first is None:
-                u = ys[m:].T if carried else np.array([piece.u_at(t - t_lo) for t in ts.tolist()])
-                _check_finite(u)
-                if diagonal:
-                    solved[id(piece)] = _Solved(ts - t_lo, ys, u, piece.gamma_c + piece.gamma_h)
-            blocks.append((piece, ts, ys[: 2 * n + 2], u))
-            end = ys[:, -1]
-            rho = (end[:n] + 1j * end[n : 2 * n]).reshape(dim, dim)
-            q_acc, w_acc = end[2 * n : 2 * n + 2]
-            if carried:
-                u_end = u[-1]
-        h = model.hamiltonian(u_end)
+            blocks.append((piece, ts, states, q, w, u))
+            rho, q_acc, w_acc = states[-1], q[-1], w[-1]
         t_lo = t_hi
 
-    y = np.concatenate([ys for _, _, ys, _ in blocks], axis=1)
-    sizes = [ts.size for _, ts, _, _ in blocks]
+    sizes = [ts.size for _, ts, *_ in blocks]
     ledger = ThermoLedger(
         heat_released=q_acc,
         work_done=w_acc,
@@ -560,12 +662,12 @@ def integrate(
         energy_final=float(np.trace(rho @ h).real),
     )
     return IntegrationResult(
-        t=np.concatenate([ts for _, ts, _, _ in blocks]),
-        states=(y[:n] + 1j * y[n : 2 * n]).T.reshape(-1, dim, dim),
-        u=np.concatenate([u for *_, u in blocks], axis=0),
+        t=np.concatenate([block[1] for block in blocks]),
+        states=np.concatenate([block[2] for block in blocks], dtype=complex),
+        u=np.concatenate([block[5] for block in blocks], axis=0),
         gamma_c=np.repeat([piece.gamma_c for piece, *_ in blocks], sizes),
         gamma_h=np.repeat([piece.gamma_h for piece, *_ in blocks], sizes),
-        q_cum=y[2 * n],
-        w_cum=y[2 * n + 1],
+        q_cum=np.concatenate([block[3] for block in blocks]),
+        w_cum=np.concatenate([block[4] for block in blocks]),
         ledger=ledger,
     )

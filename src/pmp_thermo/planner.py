@@ -781,35 +781,52 @@ def sample_plan(plan: TrajectoryPlan, samples_per_segment: int = 1000) -> PlanSa
     return PlanSamples(*map(np.concatenate, columns))
 
 
+def _arc_path(seg: IsothermSegment, baths: Baths) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
+    """The arc as `ProtocolPiece.path`: at sigma in [0, 1], s = log x runs
+    linearly from log x0 to log x1, u = 2s/beta, gamma t = chi(x) - chi(x0) and
+    dt/dsigma = (log x1 - log x0)(x^2 - 2x/mu - 1) / (gamma (1 + x^2)).  chi is
+    evaluated by numpy's ufuncs, which need not give the bits of two_level.chi,
+    so t takes 0 and the arc's duration at the ends exactly."""
+    beta, gamma = baths.beta(seg.branch.kind), baths.gamma
+    mu_val = _mu_on(seg.branch, seg.K, baths)
+    s0, s1 = math.log(seg.x0), math.log(seg.x1)
+
+    def chi_of(x: np.ndarray) -> np.ndarray:
+        return (-2.0 / mu_val) * np.arctan(x) + np.log((x * x + 1.0) / x)
+
+    c0 = chi_of(np.array(seg.x0))
+
+    def path(sigma: np.ndarray) -> tuple[np.ndarray, ...]:
+        s = (1.0 - sigma) * s0 + sigma * s1
+        x = np.exp(s)
+        t = (chi_of(x) - c0) / gamma
+        t[sigma == 0.0], t[sigma == 1.0] = 0.0, seg.duration
+        dt = (s1 - s0) * _chi_slope(x, mu_val) / (gamma * (1.0 + x * x))
+        u = (2.0 / beta) * s[:, None]
+        return t, dt, u, np.full_like(u, (2.0 / beta) * (s1 - s0))
+
+    return path
+
+
 def plan_to_protocol(plan: TrajectoryPlan) -> Protocol:
     """Control schedule of the plan for the forward simulator.
 
-    Quenches collapse into piece boundaries.  Each arc starts at its gap u0
-    and carries its exact velocity du/dt = (2 gamma/beta)(x^2 + 1)/(x^2 - 2x/mu - 1),
-    x = exp(beta u/2), the arc relation gamma t = chi(x) - chi(x0)
-    differentiated, so `integrate` carries the gap as a solution component
-    and inverts nothing.  Every occurrence of an arc is the same
-    `ProtocolPiece` object, so `integrate` solves each distinct arc once and
-    maps its recurrences.
+    Quenches collapse into piece boundaries.  Each arc is a `ProtocolPiece`
+    with a `path` (`_arc_path`): the arc's closed forms in s = log x, where the
+    time is explicit, so `integrate` steps it in sigma and inverts no chi.
+    Every occurrence of an arc is the same piece object, so `integrate` solves
+    each distinct arc once and maps every occurrence of it.
     """
     pieces: dict[IsothermSegment, ProtocolPiece] = {}
     baths, arcs = plan.baths, plan.arcs
-    gamma = baths.gamma
     for seg in arcs:
         if seg not in pieces:
-            beta = baths.beta(seg.branch.kind)
-            mu_val = _mu_on(seg.branch, seg.K, baths)
-
-            def dudt(s: float, u: np.ndarray, beta: float = beta, mu_val: float = mu_val) -> float:
-                x = math.exp(0.5 * beta * u[0])
-                return (2.0 * gamma / beta) * (x * x + 1.0) / _chi_slope(x, mu_val)
-
             pieces[seg] = ProtocolPiece(
                 duration=seg.duration,
-                u=[(2.0 / beta) * math.log(seg.x0)],
-                gamma_c=gamma if seg.branch.kind == "cold" else 0.0,
-                gamma_h=gamma if seg.branch.kind == "hot" else 0.0,
-                dudt=dudt,
+                u=None,
+                gamma_c=baths.gamma if seg.branch.kind == "cold" else 0.0,
+                gamma_h=baths.gamma if seg.branch.kind == "hot" else 0.0,
+                path=_arc_path(seg, baths),
             )
     return Protocol(pieces=[pieces[seg] for seg in arcs])
 

@@ -1017,8 +1017,8 @@ def test_validate_plan_inverts_nothing_and_builds_no_complex_matrix(baths03, mon
 
 
 def test_integrate_inverts_nothing(baths03, monkeypatch):
-    # an arc's piece carries its gap as a solution component, with the velocity
-    # of the gap itself: integrate evaluates chi nowhere, and samples no arc
+    # an arc's piece is a path in s = log x, where the time is explicit:
+    # integrate calls neither chi nor the arc inversion
     plan = build_trajectory(*ENDPOINTS.values(), K_REF, 3, baths03)
     protocol = plan_to_protocol(plan)
     calls = []
@@ -1034,33 +1034,38 @@ def test_integrate_inverts_nothing(baths03, monkeypatch):
 
 
 def test_integrate_inverts_each_time_once(baths03, worked_plan, monkeypatch):
-    # the right-hand side reads the gap from the solution and asks du/dt once
-    # for it: no (time, gap) of an arc is evaluated twice, and chi not at all
+    # integrate evaluates each distinct arc's path in two array passes, at its
+    # samples and at the collocation nodes of its steps, and no sigma twice in
+    # one pass: neither inverts chi
     monkeypatch.setattr(planner, "chi", lambda *args: pytest.fail("integrate inverted an arc"))
     protocol = plan_to_protocol(worked_plan)
-    evaluated = []
+    evaluated = {}
     for piece in {id(p): p for p in protocol.pieces}.values():
 
-        def spy(s, u, piece=piece, dudt=piece.dudt):
-            evaluated.append((id(piece), s, float(u[0])))
-            return dudt(s, u)
+        def spy(sigma, piece=piece, path=piece.path):
+            evaluated.setdefault(id(piece), []).append(sigma.size)
+            assert np.unique(sigma).size == sigma.size
+            return path(sigma)
 
-        piece.dudt = spy
+        piece.path = spy
     rho0 = np.diag([1.0 - worked_plan.p_in, worked_plan.p_in]).astype(complex)
     res = integrate(rho0, protocol, TwoLevelResetModel(baths03))
-    assert res.ledger.heat_released == pytest.approx(worked_plan.total_heat, rel=1e-6)
-    assert len(evaluated) > 100
-    assert len(evaluated) == len(set(evaluated))
+    assert res.ledger.heat_released == pytest.approx(worked_plan.total_heat, rel=1e-12)
+    assert len(evaluated) == 2
+    for sizes in evaluated.values():
+        assert len(sizes) == 2 and sizes[0] == 50 and sizes[1] % 6 == 0 and sizes[1] >= 6 * 49
 
 
 @pytest.mark.parametrize("p_out", [1e-12, 1e-20, 1e-30])
 def test_integrate_near_empty_upper_level(p_out):
-    # cold arcs from p = 0.07 down to p_out span many decades of x; integrating
-    # the gap keeps heat and first law where a Newton inversion per right-hand
-    # side fell short (3.8e2 relative heat error, first law 7.2, at 1e-30)
+    # cold arcs from p = 0.07 down to p_out span many decades of x; steps in
+    # log x keep heat and final population within 1e-11 relative (5.1e-13 and
+    # 1.3e-13 seen at 1e-30) where a Newton inversion per right-hand side fell
+    # short (3.8e2 relative heat error, first law 7.2, at 1e-30)
     baths = Baths.from_ratio(0.3)
     plan = build_trajectory(0.07, 1.0, p_out, 6.0, 0.65 * solve_engine(0.3).K_star, 0, baths)
     rho0 = np.diag([1.0 - plan.p_in, plan.p_in]).astype(complex)
     res = integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths))
-    assert abs(res.ledger.heat_released - plan.total_heat) <= 1e-9 * abs(plan.total_heat)
+    assert abs(res.ledger.heat_released - plan.total_heat) <= 1e-11 * abs(plan.total_heat)
+    assert abs(res.final_state[1, 1].real - p_out) <= 1e-11 * p_out
     assert abs(res.ledger.first_law_residual) < 1e-10

@@ -226,3 +226,8 @@ def test_pmp_ratio_gates_over_the_domain(z, beta_c, gamma, k_exp, p_in, u_in, p_
     report = validate_plan(plan, samples_per_segment=50)
     assert {key: report[key] for key in RATIO_KEYS if not report[key] <= RATIO_GATE} == {}
     assert report["max_bang_bang_violation"] <= 1e-12 / beta_c
+    # the master equation along every plan of gamma T up to 1e4 releases the plan's heat
+    if plan.arcs and gamma * plan.total_time <= 1e4:
+        rho0 = np.diag([1.0 - p_in, p_in]).astype(complex)
+        res = integrate(rho0, plan_to_protocol(plan), TwoLevelResetModel(baths))
+        assert abs(res.ledger.heat_released - plan.total_heat) <= 1e-10 * abs(plan.total_heat)

@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +25,16 @@ def test_all_entries_resolve(name):
     module = importlib.import_module(f"pmp_thermo.{name}")
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert not missing
+
+
+def test_fresh_import_loads_neither_scipy_nor_numpy_polynomial():
+    # scipy is a test dependency only, and numpy.polynomial adds about 4 ms to every start-up
+    script = "import json, sys, pmp_thermo; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(pmp_thermo.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    loaded = json.loads(proc.stdout)
+    assert "pmp_thermo.lindblad" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")] == []
 
 
 def test_star_import():
